@@ -191,7 +191,10 @@ func BenchmarkTimedSimRecords(b *testing.B) {
 	b.ResetTimer()
 	var records uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunTimed(cfg, spec, sim.PrefSpec{Kind: sim.STMS})
+		r, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Spec: &spec}, Pref: sim.PrefSpec{Kind: sim.STMS}}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		records += r.Records
 	}
 	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
@@ -209,7 +212,10 @@ func BenchmarkFunctionalSimRecords(b *testing.B) {
 	b.ResetTimer()
 	var records uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunFunctional(cfg, spec, sim.PrefSpec{Kind: sim.Ideal})
+		r, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Functional, Config: cfg, Source: sim.Source{Spec: &spec}, Pref: sim.PrefSpec{Kind: sim.Ideal}}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		records += r.Records
 	}
 	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
@@ -234,7 +240,9 @@ func BenchmarkTimedHotPath(b *testing.B) {
 	perRun := (cfg.WarmRecords + cfg.MeasureRecords) * uint64(cfg.Cores)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunTimed(cfg, spec, sim.PrefSpec{Kind: sim.STMS})
+		if _, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Spec: &spec}, Pref: sim.PrefSpec{Kind: sim.STMS}}, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(perRun)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -401,7 +401,7 @@ func writeBenchJSON(path string, r *expt.Runner, o expt.Options, id string, elap
 
 // sampledCharacterization times the web-apache × stms headline cell as
 // a K-window sampled estimate back-to-back against its exact serial
-// twin, through the direct entry points (no memo or tape store, so
+// twin, through stms.Run and stms.RunSampled (no memo or tape store, so
 // both walls measure pure simulation). The worst-metric error is a
 // deterministic function of the configuration; the wall ratio is a
 // property of this host's core count.
@@ -420,13 +420,14 @@ func sampledCharacterization(doc *benchDoc, o expt.Options, windows int) error {
 	ctx := context.Background()
 
 	t0 := time.Now()
-	exact, err := stms.RunTimedCtx(ctx, cfg, spec, ps)
+	rs := stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Spec: &spec}, Pref: ps}
+	exact, err := stms.Run(ctx, rs, nil)
 	if err != nil {
 		return err
 	}
 	serial := time.Since(t0)
 	t1 := time.Now()
-	sr, err := stms.RunSampledCtx(ctx, cfg, spec, ps, stms.Sampling{Windows: windows})
+	sr, err := stms.RunSampled(ctx, rs, stms.Sampling{Windows: windows}, nil)
 	if err != nil {
 		return err
 	}
@@ -479,7 +480,8 @@ func streamCharacterization(doc *benchDoc, o expt.Options) error {
 	ps := stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}
 	ctx := context.Background()
 
-	direct, err := stms.RunTimedCtx(ctx, cfg, spec, ps)
+	rs := stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Spec: &spec}, Pref: ps}
+	direct, err := stms.Run(ctx, rs, nil)
 	if err != nil {
 		return err
 	}
@@ -507,8 +509,8 @@ func streamCharacterization(doc *benchDoc, o expt.Options) error {
 	}
 	defer in.Close()
 	h := in.Hello()
-	run := stms.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	streamed, err := stms.RunTimedSourcesCtx(ctx, cfg, run, ps)
+	rs.Source = stms.Source{Stream: &stms.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}}
+	streamed, err := stms.Run(ctx, rs, nil)
 	if err != nil {
 		return err
 	}

@@ -266,13 +266,13 @@ func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functiona
 	fmt.Fprintf(os.Stderr, "stms-sim: streaming %s: %d cores, %d records/core (warm %d + measure %d), seed %d\n",
 		from, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords, cfg.WarmRecords, cfg.MeasureRecords, cfg.Seed)
 
-	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	var res stms.Results
+	rs := stms.RunSpec{Mode: stms.Timed, Config: cfg, Pref: ps, Source: stms.Source{
+		Stream: &stms.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore},
+	}}
 	if functional {
-		res, err = sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
-	} else {
-		res, err = sim.RunTimedSourcesCtx(context.Background(), cfg, run, ps, nil)
+		rs.Mode = stms.Functional
 	}
+	res, err := stms.Run(context.Background(), rs, nil)
 	if err != nil {
 		return stms.Results{}, err
 	}
@@ -302,18 +302,29 @@ func runCheckpointed(cfg stms.Config, workload string, ps stms.PrefSpec, every u
 		}
 	}
 
-	var res stms.Results
-	var err error
+	rs := sim.RunSpec{Mode: sim.Timed, Config: cfg, Pref: ps}
 	if resume != "" {
 		// The checkpoint knows its own workload, config and variant.
-		res, err = sim.ResumeFromCtx(context.Background(), resume, nil, opts...)
+		data, err := os.ReadFile(resume)
+		if err != nil {
+			return err
+		}
+		d, err := sim.PeekCheckpoint(data)
+		if err != nil {
+			return err
+		}
+		if rs, err = d.RunSpec(nil); err != nil {
+			return err
+		}
+		opts = append(opts, sim.WithResume(data))
 	} else if spec, serr := trace.ByName(workload); serr == nil {
-		res, err = sim.RunTimedCtx(context.Background(), cfg, spec, ps, nil, opts...)
+		rs.Source.Spec = &spec
 	} else if scn, scerr := trace.ScenarioByName(workload); scerr == nil {
-		res, err = sim.RunTimedScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+		rs.Source.Scenario = &scn
 	} else {
 		return serr
 	}
+	res, err := sim.Run(context.Background(), rs, nil, opts...)
 	if errors.Is(err, sim.ErrCheckpointed) {
 		fmt.Fprintf(os.Stderr, "stms-sim: halted after %d checkpoint(s); resume with: stms-sim -resume %s\n", haltAfter, path)
 		return nil
@@ -413,6 +424,15 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		return stms.Results{}, err
 	}
 
+	// External traces run as streams: they carry only a name and a
+	// writeback model, and cannot be re-derived for checkpoints.
+	external := func(name string, dirtyFrac float64, gens []trace.Generator) (stms.Results, error) {
+		run := stms.SourceRun{Spec: trace.Spec{Name: name, DirtyFrac: dirtyFrac}}
+		for _, g := range gens {
+			run.Sources = append(run.Sources, trace.AutoFrames(g))
+		}
+		return stms.Run(context.Background(), stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Stream: &run}, Pref: ps}, nil)
+	}
 	gens := make([]trace.Generator, cfg.Cores)
 	switch trace.DetectFormat(magic) {
 	case trace.FormatTape:
@@ -429,7 +449,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		// scenario tapes (the tape's own seed keeps replay faithful).
 		cfg.Seed = tape.Seed()
 		if tape.PerCore() == cfg.WarmRecords+cfg.MeasureRecords {
-			return sim.RunTimedTapeCtx(nil, cfg, tape, ps, nil)
+			return stms.Run(context.Background(), stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Tape: tape}, Pref: ps}, nil)
 		}
 		if tape.Marks() != nil {
 			fmt.Fprintf(os.Stderr, "(tape holds %d records/core but -warm+-measure is %d; replaying whole-tape without per-phase windows)\n",
@@ -443,7 +463,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		if name == "" {
 			name = path
 		}
-		return sim.RunTimedTrace(cfg, name, gens, spec.DirtyFrac, ps), nil
+		return external(name, spec.DirtyFrac, gens)
 	case trace.FormatRecords:
 		recs, err := trace.ReadAll(f)
 		if err != nil {
@@ -457,7 +477,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		for i := range gens {
 			gens[i] = &trace.SliceGenerator{Records: perCore[i]}
 		}
-		return sim.RunTimedTrace(cfg, path, gens, 0.25, ps), nil
+		return external(path, 0.25, gens)
 	}
 	return stms.Results{}, fmt.Errorf("%s: not a trace or tape file (magic %q)", path, magic[:])
 }

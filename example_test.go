@@ -83,7 +83,12 @@ func Example_scenario() {
 	cfg := stms.DefaultConfig()
 	cfg.Scale, cfg.Seed = 0.0625, 42
 	cfg.WarmRecords, cfg.MeasureRecords = 1_000, 2_000
-	res, err := stms.RunTimedScenarioCtx(context.Background(), cfg, flip, stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125})
+	res, err := stms.Run(context.Background(), stms.RunSpec{
+		Mode:   stms.Timed,
+		Config: cfg,
+		Source: stms.Source{Scenario: &flip},
+		Pref:   stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125},
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,12 +117,14 @@ func Example_tapeReplay() {
 	scaled := spec.Scaled(cfg.Scale)
 	tape := stms.NewTape(scaled, cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
 
-	ps := stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}
-	live, err := stms.RunTimedCtx(context.Background(), cfg, spec, ps)
+	rs := stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Spec: &spec},
+		Pref: stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}}
+	live, err := stms.Run(context.Background(), rs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := stms.RunTimedTapeCtx(context.Background(), cfg, tape, ps)
+	rs.Source = stms.Source{Tape: tape}
+	replayed, err := stms.Run(context.Background(), rs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,13 +148,14 @@ func Example_sampled() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ps := stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}
+	rs := stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Spec: &spec},
+		Pref: stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}}
 
-	exact, err := stms.RunTimedCtx(context.Background(), cfg, spec, ps)
+	exact, err := stms.Run(context.Background(), rs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr, err := stms.RunSampledCtx(context.Background(), cfg, spec, ps, stms.Sampling{Windows: 4})
+	sr, err := stms.RunSampled(context.Background(), rs, stms.Sampling{Windows: 4}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,7 +165,7 @@ func Example_sampled() {
 	fmt.Println("exact IPC inside the interval:", sr.CI.IPC.Contains(exact.IPC))
 	fmt.Println("exact coverage inside the interval:", sr.CI.Coverage.Contains(exact.Coverage()))
 
-	k1, err := stms.RunSampledCtx(context.Background(), cfg, spec, ps, stms.Sampling{Windows: 1})
+	k1, err := stms.RunSampled(context.Background(), rs, stms.Sampling{Windows: 1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

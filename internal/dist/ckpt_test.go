@@ -83,7 +83,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if !resB.Resumed {
 		t.Fatal("worker with a pushed checkpoint did not resume")
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	store := NewStore(1<<30, "")
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	// A checkpoint from a different prefetcher spec must not restore
 	// into this job — mismatch means a cold run with exact results.
 	other := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	wantOther, err := sim.RunTimedCtx(context.Background(), other.Config, *other.Spec, other.Pref, nil)
+	wantOther, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: other.Config, Source: sim.Source{Spec: other.Spec}, Pref: other.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestServerRunJobMatchesDirectSim(t *testing.T) {
 
 	// The remote result is bit-identical to running the same cell
 	// through the sim entry points directly.
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestServerScenarioJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunTimedScenarioCtx(context.Background(), job.Config, scn, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Scenario: &scn}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 	if res.TapeSource != TapeLive {
 		t.Fatalf("storeless worker tape source = %q, want live", res.TapeSource)
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 
 func TestResultJSONRoundTrip(t *testing.T) {
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	res, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	res, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"stms/internal/sim"
 	"stms/internal/trace"
@@ -16,9 +13,9 @@ import (
 // checkpoints existed.
 type ExecOptions struct {
 	// Resume is a sealed STMSCKPT container to restore the run from.
-	// It is validated against the job's full identity (mode, config,
-	// complete prefetcher spec, trace identity) before it is trusted;
-	// a mismatched or corrupt container is discarded and the job runs
+	// sim validates it against the job's full identity (mode, config,
+	// complete prefetcher spec, trace identity) before trusting it; a
+	// mismatched or corrupt container is discarded and the job runs
 	// from scratch — a bad checkpoint can cost time, never correctness.
 	Resume []byte
 	// Every is the checkpoint cadence in trace records across all
@@ -55,62 +52,17 @@ func (o *ExecOptions) runOptions(job *Job) []sim.RunOption {
 	return opts
 }
 
-// resumeMatches validates a checkpoint descriptor against the job it
-// is about to resume. The container's checksum has already been
-// verified by the store tiers; this checks identity — mode, full
-// config, the complete prefetcher spec (not just its kind: a
-// checkpoint from a different sampling probability or engine geometry
-// would restore cleanly and then produce wrong results), and the trace
-// source the run will rebuild.
-func resumeMatches(d sim.CheckpointDesc, job *Job, scn *trace.Scenario, tape *trace.Tape) error {
-	if d.Mode != job.Mode {
-		return fmt.Errorf("dist: checkpoint is a %s-mode run, job is %s", d.Mode, job.Mode)
-	}
-	if d.Cfg != job.Config {
-		return fmt.Errorf("dist: checkpoint configuration does not match the job's")
-	}
-	dps, err1 := json.Marshal(d.PS)
-	jps, err2 := json.Marshal(job.Pref)
-	if err1 != nil || err2 != nil || !bytes.Equal(dps, jps) {
-		return fmt.Errorf("dist: checkpoint prefetcher spec does not match the job's")
-	}
-	switch {
-	case tape != nil:
-		if d.Source != "tape" {
-			return fmt.Errorf("dist: checkpoint source %q, job runs from a tape", d.Source)
-		}
-		if d.Spec == nil || fmt.Sprintf("%+v", *d.Spec) != fmt.Sprintf("%+v", tape.Spec()) {
-			return fmt.Errorf("dist: checkpoint trace identity does not match the job's tape")
-		}
-	case scn != nil:
-		if d.Source != "scenario" || d.Scenario == nil {
-			return fmt.Errorf("dist: checkpoint source %q, job runs a scenario", d.Source)
-		}
-		sc := job.Config.Scale
-		if d.Scenario.Scaled(sc).Key() != scn.Scaled(sc).Key() {
-			return fmt.Errorf("dist: checkpoint scenario does not match the job's")
-		}
-	default:
-		if d.Source != "spec" || d.Spec == nil {
-			return fmt.Errorf("dist: checkpoint source %q, job runs a spec", d.Source)
-		}
-		if fmt.Sprintf("%+v", *d.Spec) != fmt.Sprintf("%+v", *job.Spec) {
-			return fmt.Errorf("dist: checkpoint spec does not match the job's")
-		}
-	}
-	return nil
-}
-
 // ExecuteJob runs one cell job to completion, serving its record
 // stream from the store when one is given (fetch, usually a peer
 // lookup, feeds the store's miss path). The execution mirrors the
 // in-process lab's cell path exactly — same validation order, same
-// scaled identities, same sim entry points — which is what makes a
-// remotely executed matrix bit-identical to a local run.
+// scaled identities, same sim.Run — which is what makes a remotely
+// executed matrix bit-identical to a local run.
 //
-// exec (nil for a plain run) threads checkpointing through: a
-// validated ExecOptions.Resume warm-starts the run (resumed reports
-// whether it actually did — an invalid checkpoint is discarded, never
+// exec (nil for a plain run) threads checkpointing through:
+// ExecOptions.Resume warm-starts the run when sim accepts it as this
+// job's checkpoint (resumed reports whether it did — a mismatched or
+// unrestorable checkpoint is discarded and the job runs cold, never
 // trusted), Every/Sink stream periodic checkpoints out, and Stop
 // requests a final checkpoint + sim.ErrCheckpointed for graceful
 // shutdown. Because checkpoints are pure observation, results are
@@ -121,76 +73,47 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 	if err := job.Validate(); err != nil {
 		return sim.Results{}, TapeLive, false, err
 	}
-	scn, err := job.scenario()
+	src, err := job.source()
 	if err != nil {
 		return sim.Results{}, TapeLive, false, err
 	}
-	cfg := job.Config
-	functional := job.Mode == "functional"
+	rs := sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: src, Pref: job.Pref}
+	if job.Mode == "functional" {
+		rs.Mode = sim.Functional
+	}
 
-	var src TapeSource = TapeLive
-	var tape *trace.Tape
+	var from TapeSource = TapeLive
 	if store != nil {
-		// Validate before touching the store — the sim entry points
-		// validate again, but only after the tape exists, and a job with a
-		// broken config must not cost a tape build.
-		if err := cfg.Validate(); err != nil {
+		// Validate before touching the store — sim.Run validates again,
+		// but only after the tape exists, and a job with a broken config
+		// must not cost a tape build.
+		if err := rs.Config.Validate(); err != nil {
 			return sim.Results{}, TapeLive, false, err
 		}
-		seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
-		var key string
-		var build func() *trace.Tape
-		if scn != nil {
-			scaled := scn.Scaled(cfg.Scale)
-			key = TapeKey(trace.Spec{}, scaled.Key(), seed, cores, perCore)
-			build = func() *trace.Tape { return trace.NewScenarioTape(scaled, seed, cores, perCore) }
-		} else {
-			scaled := job.Spec.Scaled(cfg.Scale)
-			key = TapeKey(scaled, "", seed, cores, perCore)
-			build = func() *trace.Tape { return trace.NewTape(scaled, seed, cores, perCore) }
-		}
+		key, build := TapeRecipe(src, rs.Config)
 		var fetchKey func(context.Context) (*trace.Tape, error)
 		if fetch != nil {
 			fetchKey = func(ctx context.Context) (*trace.Tape, error) { return fetch(ctx, key) }
 		}
-		tape, src, err = store.GetOrBuild(ctx, key, fetchKey, build)
+		tape, tier, err := store.GetOrBuild(ctx, key, fetchKey, build)
 		if err != nil {
-			return sim.Results{}, src, false, err
+			return sim.Results{}, tier, false, err
 		}
-	}
-
-	run := func(opts []sim.RunOption) (sim.Results, error) {
-		switch {
-		case tape != nil && functional:
-			return sim.RunFunctionalTapeCtx(ctx, cfg, tape, job.Pref, progress, opts...)
-		case tape != nil:
-			return sim.RunTimedTapeCtx(ctx, cfg, tape, job.Pref, progress, opts...)
-		case scn != nil && functional:
-			return sim.RunFunctionalScenarioCtx(ctx, cfg, *scn, job.Pref, progress, opts...)
-		case scn != nil:
-			return sim.RunTimedScenarioCtx(ctx, cfg, *scn, job.Pref, progress, opts...)
-		case functional:
-			return sim.RunFunctionalCtx(ctx, cfg, *job.Spec, job.Pref, progress, opts...)
-		default:
-			return sim.RunTimedCtx(ctx, cfg, *job.Spec, job.Pref, progress, opts...)
-		}
+		rs.Source, from = sim.Source{Tape: tape}, tier
 	}
 
 	base := exec.runOptions(job)
 	if exec != nil && len(exec.Resume) > 0 && sim.CheckpointablePref(job.Pref) {
-		if d, err := sim.PeekCheckpoint(exec.Resume); err == nil && resumeMatches(d, job, scn, tape) == nil {
-			res, err := run(append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume)))
-			switch {
-			case err == nil:
-				return res, src, true, nil
-			case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
-				return res, src, true, err
-			}
-			// The container verified but would not restore (or the
-			// descriptor lied about state the restore checks catch):
-			// discard it and fall through to a cold run.
+		res, err := sim.Run(ctx, rs, progress, append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume))...)
+		switch {
+		case err == nil:
+			return res, from, true, nil
+		case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
+			return res, from, true, err
 		}
+		// The checkpoint is corrupt, belongs to another run, or would
+		// not restore: discard it and fall through to a cold run.
 	}
-	res, err := run(base)
-	return res, src, false, err
+	res, err := sim.Run(ctx, rs, progress, base...)
+	return res, from, false, err
 }

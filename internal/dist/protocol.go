@@ -22,8 +22,8 @@
 //     transport failures (retry on another worker) from job failures
 //     (deterministic; retrying elsewhere would fail identically).
 //
-// Every simulation a worker runs goes through the same internal/sim
-// entry points the in-process lab uses, so a matrix executed across
+// Every simulation a worker runs goes through the same sim.Run the
+// in-process lab uses, so a matrix executed across
 // workers is bit-identical to the same plan run locally.
 package dist
 
@@ -81,16 +81,17 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// scenario parses the job's scenario document, if any.
-func (j *Job) scenario() (*trace.Scenario, error) {
+// source parses the job's workload into a run source: its spec, or its
+// scenario document.
+func (j *Job) source() (sim.Source, error) {
 	if len(j.Scenario) == 0 {
-		return nil, nil
+		return sim.Source{Spec: j.Spec}, nil
 	}
 	s, err := trace.ParseScenario(bytes.NewReader(j.Scenario))
 	if err != nil {
-		return nil, err
+		return sim.Source{}, err
 	}
-	return &s, nil
+	return sim.Source{Scenario: &s}, nil
 }
 
 // CkptKey returns the content address of the job's checkpoint: the hex
@@ -132,17 +133,12 @@ func prefString(ps sim.PrefSpec) string {
 // compute it independently and must agree; it names tapes in every
 // store tier and routes cells to workers by affinity.
 func (j *Job) TapeKey() (string, error) {
-	scnKey := ""
-	spec := trace.Spec{}
-	if scn, err := j.scenario(); err != nil {
+	src, err := j.source()
+	if err != nil {
 		return "", err
-	} else if scn != nil {
-		scnKey = scn.Scaled(j.Config.Scale).Key()
-	} else {
-		spec = j.Spec.Scaled(j.Config.Scale)
 	}
-	return TapeKey(spec, scnKey, j.Config.Seed, j.Config.Cores,
-		j.Config.WarmRecords+j.Config.MeasureRecords), nil
+	key, _ := TapeRecipe(src, j.Config)
+	return key, nil
 }
 
 // TapeKey computes the content address of a trace identity. Exactly
@@ -152,6 +148,23 @@ func TapeKey(spec trace.Spec, scenarioKey string, seed uint64, cores int, perCor
 	sum := sha256.Sum256([]byte(fmt.Sprintf("spec=%+v|scn=%s|seed=%d|cores=%d|per=%d",
 		spec, scenarioKey, seed, cores, perCore)))
 	return hex.EncodeToString(sum[:])
+}
+
+// TapeRecipe returns the content address of a run's trace identity and
+// the build that materializes its tape. src is a full-scale Spec or
+// Scenario source; cfg supplies the scale, seed, cores and the warm +
+// measure budget. Every tape a lab session or worker builds for a cell
+// comes from here, so coordinator and worker agree on the address.
+func TapeRecipe(src sim.Source, cfg sim.Config) (key string, build func() *trace.Tape) {
+	seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
+	if src.Scenario != nil {
+		scn := src.Scenario.Scaled(cfg.Scale)
+		return TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore),
+			func() *trace.Tape { return trace.NewScenarioTape(scn, seed, cores, perCore) }
+	}
+	spec := src.Spec.Scaled(cfg.Scale)
+	return TapeKey(spec, "", seed, cores, perCore),
+		func() *trace.Tape { return trace.NewTape(spec, seed, cores, perCore) }
 }
 
 // tapeKeyOf recomputes the content address of a materialized tape from

@@ -8,22 +8,14 @@ import (
 )
 
 // Mode selects the simulation driver for a plan's cells.
-type Mode int
+type Mode = sim.Mode
 
 // Drivers: the cycle-level timed simulation (speedups, traffic) and the
 // fast zero-latency functional driver (coverage sweeps).
 const (
-	Timed Mode = iota
-	Functional
+	Timed      = sim.Timed
+	Functional = sim.Functional
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Functional {
-		return "functional"
-	}
-	return "timed"
-}
 
 // Cell is one unit of work in a plan: a workload — a stationary spec or
 // a phase-structured scenario — under a prefetcher variant, with its
@@ -48,6 +40,16 @@ type Cell struct {
 	// Config.Scale applies at run) and its Results carry per-phase
 	// windows. Spec is zero-valued for scenario cells.
 	Scenario *trace.Scenario
+}
+
+// runSpec is the cell's simulation in sim terms.
+func (c *Cell) runSpec() sim.RunSpec {
+	rs := sim.RunSpec{Mode: c.Mode, Config: c.Config, Pref: c.Pref, Source: sim.Source{Scenario: c.Scenario}}
+	if c.Scenario == nil {
+		spec := c.Spec
+		rs.Source.Spec = &spec
+	}
+	return rs
 }
 
 // RunPlan is an executable workload × variant cross-product. Build one

@@ -175,14 +175,11 @@ func (p *remotePool) count(f func(*RemoteStats)) {
 func jobFromCell(c *Cell) (*dist.Job, error) {
 	job := &dist.Job{
 		Version:  dist.JobFormatVersion,
-		Mode:     "timed",
+		Mode:     c.Mode.String(),
 		Workload: c.Workload,
 		Variant:  c.Label,
 		Config:   c.Config,
 		Pref:     c.Pref,
-	}
-	if c.Mode == Functional {
-		job.Mode = "functional"
 	}
 	if c.Scenario != nil {
 		b, err := json.Marshal(c.Scenario)
@@ -488,6 +485,6 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 		note = fmt.Sprintf("degraded to local after %d failed remote attempts: %s",
 			len(log.entries), log.String())
 	}
-	res, tapeWait, err := l.simulate(ctx, cell)
+	res, _, tapeWait, err := l.simulate(ctx, cell)
 	return res, tapeWait, note, err
 }

@@ -9,7 +9,6 @@ import (
 
 	"stms/internal/dist"
 	"stms/internal/sim"
-	"stms/internal/trace"
 )
 
 // EventKind classifies a ResultEvent.
@@ -146,129 +145,48 @@ feed:
 // locally: their parallelism is the window fan-out itself, and the
 // worker protocol ships exact results only.
 func (l *Lab) dispatch(ctx context.Context, cell *Cell) (sim.Results, *sim.SampledResults, time.Duration, string, error) {
-	if cell.Sampling.Windows > 1 {
-		sr, tapeWait, err := l.simulateSampled(ctx, cell)
-		if err != nil {
-			return sim.Results{}, nil, tapeWait, "", err
-		}
-		return sr.Results, sr, tapeWait, "", nil
-	}
-	if l.remote == nil {
-		res, tapeWait, err := l.simulate(ctx, cell)
-		return res, nil, tapeWait, "", err
+	if l.remote == nil || cell.Sampling.Windows > 1 {
+		res, sr, tapeWait, err := l.simulate(ctx, cell)
+		return res, sr, tapeWait, "", err
 	}
 	res, d, note, err := l.remote.run(ctx, l, cell)
 	return res, nil, d, note, err
 }
 
-// simulate executes one cell's simulation, serving its record stream
-// from the session tape store when enabled: every cell with the same
-// trace identity replays one materialized tape. tapeWait is how much of
-// the cell's wall time went to tape access (building, or waiting on a
-// sibling's build) rather than simulation.
-func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, tapeWait time.Duration, err error) {
-	if l.tapes == nil {
-		switch {
-		case cell.Scenario != nil && cell.Mode == Functional:
-			res, err = sim.RunFunctionalScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, nil)
-		case cell.Scenario != nil:
-			res, err = sim.RunTimedScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, nil)
-		case cell.Mode == Functional:
-			res, err = sim.RunFunctionalCtx(ctx, cell.Config, cell.Spec, cell.Pref, nil)
-		default:
-			res, err = sim.RunTimedCtx(ctx, cell.Config, cell.Spec, cell.Pref, nil)
+// simulate executes one cell in process — the K-window sampled
+// estimate when the cell samples (sr non-nil), the exact run otherwise
+// — serving its record stream from the session tape store when enabled:
+// every cell with the same trace identity, sampled or exact, replays
+// one materialized tape. tapeWait is how much of the cell's wall time
+// went to tape access (building, or waiting on a sibling's build)
+// rather than simulation.
+func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, sr *sim.SampledResults, tapeWait time.Duration, err error) {
+	rs := cell.runSpec()
+	if l.tapes != nil {
+		// Validate before touching the tape store — sim validates again,
+		// but only after the tape exists, and a cell with a broken
+		// per-cell override must not cost a tape build.
+		if err := rs.Config.Validate(); err != nil {
+			return sim.Results{}, nil, 0, err
 		}
-		return res, 0, err
-	}
-	// Validate before touching the tape store — the sim entry points
-	// validate again, but only after the tape exists, and a cell with a
-	// broken per-cell override must not cost a tape build.
-	if err := cell.Config.Validate(); err != nil {
-		return sim.Results{}, 0, err
-	}
-	seed := cell.Config.Seed
-	cores := cell.Config.Cores
-	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
-	var key string
-	var build func() *trace.Tape
-	if cell.Scenario != nil {
-		scn := cell.Scenario.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewScenarioTape(scn, seed, cores, perCore)
-		}
-	} else {
-		spec := cell.Spec.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(spec, "", seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewTape(spec, seed, cores, perCore)
-		}
-	}
-	t0 := time.Now()
-	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-	tapeWait = time.Since(t0)
-	if err != nil {
-		return sim.Results{}, tapeWait, err
-	}
-	switch cell.Mode {
-	case Functional:
-		res, err = sim.RunFunctionalTapeCtx(ctx, cell.Config, tape, cell.Pref, nil)
-	default:
-		res, err = sim.RunTimedTapeCtx(ctx, cell.Config, tape, cell.Pref, nil)
-	}
-	return res, tapeWait, err
-}
-
-// simulateSampled executes one sampled cell (Sampling.Windows > 1):
-// the K-window fork/join estimate of the same timed run, served from
-// the session tape store when enabled so sampled and exact cells of
-// one trace identity share a materialized tape.
-func (l *Lab) simulateSampled(ctx context.Context, cell *Cell) (*sim.SampledResults, time.Duration, error) {
-	var sr sim.SampledResults
-	var err error
-	if l.tapes == nil {
-		if cell.Scenario != nil {
-			sr, err = sim.RunSampledScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, cell.Sampling, nil)
-		} else {
-			sr, err = sim.RunSampledCtx(ctx, cell.Config, cell.Spec, cell.Pref, cell.Sampling, nil)
-		}
+		key, build := dist.TapeRecipe(rs.Source, rs.Config)
+		t0 := time.Now()
+		tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
+		tapeWait = time.Since(t0)
 		if err != nil {
-			return nil, 0, err
+			return sim.Results{}, nil, tapeWait, err
 		}
-		return &sr, 0, nil
+		rs.Source = sim.Source{Tape: tape}
 	}
-	if err := cell.Config.Validate(); err != nil {
-		return nil, 0, err
-	}
-	seed := cell.Config.Seed
-	cores := cell.Config.Cores
-	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
-	var key string
-	var build func() *trace.Tape
-	if cell.Scenario != nil {
-		scn := cell.Scenario.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewScenarioTape(scn, seed, cores, perCore)
+	if cell.Sampling.Windows > 1 {
+		s, err := sim.RunSampled(ctx, rs, cell.Sampling, nil)
+		if err != nil {
+			return sim.Results{}, nil, tapeWait, err
 		}
-	} else {
-		spec := cell.Spec.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(spec, "", seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewTape(spec, seed, cores, perCore)
-		}
+		return s.Results, &s, tapeWait, nil
 	}
-	t0 := time.Now()
-	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-	tapeWait := time.Since(t0)
-	if err != nil {
-		return nil, tapeWait, err
-	}
-	sr, err = sim.RunSampledTapeCtx(ctx, cell.Config, tape, cell.Pref, cell.Sampling, nil)
-	if err != nil {
-		return nil, tapeWait, err
-	}
-	return &sr, tapeWait, nil
+	res, err = sim.Run(ctx, rs, nil)
+	return res, nil, tapeWait, err
 }
 
 // runState carries the per-Run bookkeeping shared by the workers.

@@ -151,8 +151,7 @@ func TestSampledMatchesDirectRun(t *testing.T) {
 	if cell.Sampled == nil {
 		t.Fatal("no sampled result")
 	}
-	want, err := sim.RunSampledCtx(context.Background(), cell.Cell.Config,
-		cell.Cell.Spec, cell.Cell.Pref, smp, nil)
+	want, err := sim.RunSampled(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cell.Cell.Config, Source: sim.Source{Spec: &cell.Cell.Spec}, Pref: cell.Cell.Pref}, smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestScenarioMatrixSharesTapes(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want, err := sim.RunTimedScenarioCtx(context.Background(), cfg, scns[row], prefs[col], nil)
+			want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Scenario: &scns[row]}, Pref: prefs[col]}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

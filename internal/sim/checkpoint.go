@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,7 +33,7 @@ import (
 // checkpoint on disk resumes the run exactly where it stopped.
 var ErrCheckpointed = errors.New("sim: run halted after writing a checkpoint")
 
-// RunOption configures checkpointing on a Run*Ctx entry point.
+// RunOption configures checkpointing on Run and RunSampled.
 type RunOption func(*runOpts)
 
 type runOpts struct {
@@ -87,9 +88,9 @@ func WithCheckpointSignal(ch <-chan struct{}) RunOption {
 }
 
 // WithResume restores the run from a sealed checkpoint (the bytes of a
-// checkpoint file) before the first event fires. The configuration,
-// prefetcher spec and trace identity passed to the entry point must
-// match the ones recorded in the checkpoint.
+// checkpoint file) before the first event fires. The run's mode,
+// configuration, complete prefetcher spec and trace identity must match
+// the ones recorded in the checkpoint; a mismatch is an error.
 func WithResume(data []byte) RunOption {
 	return func(o *runOpts) { o.resume = data }
 }
@@ -133,7 +134,7 @@ type ckptSrc struct {
 // checkpoint: everything needed to reconstruct the run it belongs to.
 // Spec and Scenario are the original (unscaled) inputs; tape-backed
 // checkpoints echo the tape's spec for identity validation and need
-// the tape itself handed to ResumeTape.
+// the tape itself handed to RunSpec.
 type CheckpointDesc struct {
 	Mode     string          `json:"mode"`   // "timed" | "functional"
 	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
@@ -207,64 +208,55 @@ func openResume(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
 	return readDesc(payload)
 }
 
-// ResumeFrom reads a checkpoint file and continues the run it
-// describes to completion. Tape-backed checkpoints need ResumeTape.
-func ResumeFrom(path string, opts ...RunOption) (Results, error) {
-	return ResumeFromCtx(nil, path, nil, opts...)
-}
-
-// ResumeFromCtx is ResumeFrom with cancellation and progress.
-func ResumeFromCtx(ctx context.Context, path string, progress Progress, opts ...RunOption) (Results, error) {
-	data, err := ckpt.ReadFile(path)
-	if err != nil {
-		return Results{}, err
+// RunSpec rebuilds the RunSpec the checkpoint belongs to; resume it by
+// passing the checkpoint to Run (or RunSampled, for a sampled
+// descriptor from PeekSampled) with WithResume. tape is consulted only
+// for tape-backed checkpoints, which record the tape's identity but not
+// its records: the caller supplies the tape (re-fetched by key in the
+// distributed lab, rebuilt locally otherwise).
+func (d CheckpointDesc) RunSpec(tape *trace.Tape) (RunSpec, error) {
+	rs := RunSpec{Config: d.Cfg, Pref: d.PS}
+	switch d.Mode {
+	case "timed", "sampled":
+		rs.Mode = Timed
+	case "functional":
+		rs.Mode = Functional
+	default:
+		return RunSpec{}, fmt.Errorf("sim: checkpoint descriptor names unknown mode %q", d.Mode)
 	}
-	return ResumeFromBytes(ctx, ckpt.Seal(data), progress, opts...)
-}
-
-// ResumeFromBytes continues a run from sealed checkpoint bytes. The
-// run is rebuilt entirely from the embedded descriptor; extra options
-// (e.g. a new checkpoint cadence) apply to the continued run.
-func ResumeFromBytes(ctx context.Context, data []byte, progress Progress, opts ...RunOption) (Results, error) {
-	d, _, err := openResume(data)
-	if err != nil {
-		return Results{}, err
-	}
-	opts = append(opts, WithResume(data))
 	switch {
+	case d.Source == "spec" && d.Spec != nil:
+		rs.Source.Spec = d.Spec
+	case d.Source == "scenario" && d.Scenario != nil:
+		rs.Source.Scenario = d.Scenario
+	case d.Source == "tape" && tape != nil:
+		rs.Source.Tape = tape
 	case d.Source == "tape":
-		return Results{}, fmt.Errorf("sim: checkpoint is tape-backed; resume it with ResumeTape and the tape")
-	case d.Mode == "timed" && d.Source == "spec" && d.Spec != nil:
-		return RunTimedCtx(ctx, d.Cfg, *d.Spec, d.PS, progress, opts...)
-	case d.Mode == "timed" && d.Source == "scenario" && d.Scenario != nil:
-		return RunTimedScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, progress, opts...)
-	case d.Mode == "functional" && d.Source == "spec" && d.Spec != nil:
-		return RunFunctionalCtx(ctx, d.Cfg, *d.Spec, d.PS, progress, opts...)
-	case d.Mode == "functional" && d.Source == "scenario" && d.Scenario != nil:
-		return RunFunctionalScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, progress, opts...)
+		return RunSpec{}, fmt.Errorf("sim: checkpoint is tape-backed; resuming it needs the tape")
+	default:
+		return RunSpec{}, fmt.Errorf("sim: checkpoint descriptor names unknown source %q", d.Source)
 	}
-	return Results{}, fmt.Errorf("sim: checkpoint descriptor names unknown run shape (mode %q, source %q)", d.Mode, d.Source)
+	return rs, nil
 }
 
-// ResumeTape continues a tape-backed run from sealed checkpoint bytes;
-// the caller supplies the tape (re-fetched by key in the distributed
-// lab, rebuilt locally otherwise).
+// ResumeTape continues a tape-backed run from sealed checkpoint bytes.
+//
+// Deprecated: rebuild the run with PeekCheckpoint and
+// CheckpointDesc.RunSpec, then pass the checkpoint to Run with
+// WithResume.
 func ResumeTape(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (Results, error) {
-	d, _, err := openResume(data)
+	d, err := PeekCheckpoint(data)
 	if err != nil {
 		return Results{}, err
 	}
 	if d.Source != "tape" {
 		return Results{}, fmt.Errorf("sim: checkpoint is %s-backed, not tape-backed", d.Source)
 	}
-	opts = append(opts, WithResume(data))
-	switch d.Mode {
-	case "timed":
-		return RunTimedTapeCtx(ctx, d.Cfg, tape, d.PS, progress, opts...)
-	case "functional":
-		return RunFunctionalTapeCtx(ctx, d.Cfg, tape, d.PS, progress, opts...)
+	rs, err := d.RunSpec(tape)
+	if err != nil {
+		return Results{}, err
 	}
-	return Results{}, fmt.Errorf("sim: checkpoint descriptor names unknown mode %q", d.Mode)
+	return Run(ctx, rs, progress, append(opts, WithResume(data))...)
 }
 
 // CheckpointablePref reports whether runs of the given prefetcher
@@ -323,18 +315,39 @@ func descFor(mode string, src ckptSrc, cfg Config, ps PrefSpec, tapeSpec trace.S
 
 // checkDesc validates a resume descriptor against the run being
 // restored into.
-func checkDesc(d CheckpointDesc, mode string, src ckptSrc, cfg Config, ps PrefSpec) error {
-	if d.Mode != mode {
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, mode)
-	}
-	if d.Source != src.kind {
-		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, src.kind)
-	}
-	if d.Cfg != cfg {
+func checkDesc(d CheckpointDesc, mode string, src ckptSrc, cfg Config, ps PrefSpec, scaled trace.Spec) error {
+	return sameRun(d, descFor(mode, src, cfg, ps, scaled, 0))
+}
+
+// sameRun is the one resume identity check: a checkpoint restores only
+// into the run that wrote it — same mode, source kind, configuration,
+// complete prefetcher spec and trace identity. A checkpoint of another
+// workload, or of another sampling probability or engine geometry,
+// would restore cleanly and then produce wrong results.
+func sameRun(d, want CheckpointDesc) error {
+	switch {
+	case d.Mode != want.Mode:
+		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, want.Mode)
+	case d.Source != want.Source:
+		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, want.Source)
+	case d.Cfg != want.Cfg:
 		return fmt.Errorf("sim: checkpoint configuration does not match the run's")
 	}
-	if d.PS.Kind != ps.Kind {
-		return fmt.Errorf("sim: checkpoint is a %s run, resuming %s", d.PS.Kind, ps.Kind)
+	dps, err1 := json.Marshal(d.PS)
+	wps, err2 := json.Marshal(want.PS)
+	if err1 != nil || err2 != nil || !bytes.Equal(dps, wps) {
+		return fmt.Errorf("sim: checkpoint prefetcher spec %s does not match the run's %s", dps, wps)
+	}
+	switch {
+	case want.Scenario != nil:
+		sc := want.Cfg.Scale
+		if d.Scenario == nil || d.Scenario.Scaled(sc).Key() != want.Scenario.Scaled(sc).Key() {
+			return fmt.Errorf("sim: checkpoint scenario does not match the run's")
+		}
+	case want.Spec != nil:
+		if d.Spec == nil || *d.Spec != *want.Spec {
+			return fmt.Errorf("sim: checkpoint trace identity does not match the run's")
+		}
 	}
 	return nil
 }

@@ -38,8 +38,9 @@ type runFn func(opts ...RunOption) (Results, error)
 // (1) a checkpointing run is bit-identical to a non-checkpointing run
 // (snapshots are pure observation), and (2) resuming from any captured
 // checkpoint — a simulated kill at that exact boundary — reproduces
-// the uninterrupted run bit-for-bit. Checkpoints resume through
-// ResumeFromBytes, so the descriptor round-trip is covered too.
+// the uninterrupted run bit-for-bit. Checkpoints resume through the
+// RunSpec their descriptor rebuilds, so the descriptor round-trip is
+// covered too.
 func checkRoundTrip(t *testing.T, run runFn, every uint64) {
 	t.Helper()
 	base, err := run()
@@ -63,7 +64,7 @@ func checkRoundTrip(t *testing.T, run runFn, every uint64) {
 		t.Fatalf("no checkpoints captured at cadence %d", every)
 	}
 	for _, k := range sampleIndices(len(ckpts)) {
-		resumed, err := ResumeFromBytes(context.Background(), ckpts[k], nil)
+		resumed, err := resumeRun(context.Background(), ckpts[k], nil, nil)
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d/%d: %v", k, len(ckpts), err)
 		}
@@ -103,13 +104,13 @@ func TestCheckpointResumeWorkloads(t *testing.T) {
 		t.Run(spec.Name+"/timed", func(t *testing.T) {
 			t.Parallel()
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunTimedCtx(context.Background(), cfg, spec, ps, nil, opts...)
+				return Run(context.Background(), specRun(Timed, cfg, spec, ps), nil, opts...)
 			}, every)
 		})
 		t.Run(spec.Name+"/functional", func(t *testing.T) {
 			t.Parallel()
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunFunctionalCtx(context.Background(), cfg, spec, ps, nil, opts...)
+				return Run(context.Background(), specRun(Functional, cfg, spec, ps), nil, opts...)
 			}, ckptCadences[(i+1)%len(ckptCadences)])
 		})
 	}
@@ -128,14 +129,14 @@ func TestCheckpointResumeScenarios(t *testing.T) {
 			t.Run(scn.Name+"/timed", func(t *testing.T) {
 				t.Parallel()
 				checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-					return RunTimedScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+					return Run(context.Background(), scnRun(Timed, cfg, scn, ps), nil, opts...)
 				}, every)
 			})
 		} else {
 			t.Run(scn.Name+"/functional", func(t *testing.T) {
 				t.Parallel()
 				checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-					return RunFunctionalScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+					return Run(context.Background(), scnRun(Functional, cfg, scn, ps), nil, opts...)
 				}, every)
 			})
 		}
@@ -152,12 +153,12 @@ func TestCheckpointAllCadences(t *testing.T) {
 		every := every
 		t.Run("timed", func(t *testing.T) {
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS}, nil, opts...)
+				return Run(context.Background(), specRun(Timed, cfg, sp, PrefSpec{Kind: STMS}), nil, opts...)
 			}, every)
 		})
 		t.Run("functional", func(t *testing.T) {
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS}, nil, opts...)
+				return Run(context.Background(), specRun(Functional, cfg, sp, PrefSpec{Kind: STMS}), nil, opts...)
 			}, every)
 		})
 	}
@@ -170,17 +171,16 @@ func TestCheckpointHaltAndFileResume(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-apache")
 	ps := PrefSpec{Kind: STMS}
-	base, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	base, err := Run(context.Background(), specRun(Timed, cfg, sp, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.stmsckpt")
-	_, err = RunTimedCtx(context.Background(), cfg, sp, ps, nil,
-		WithCheckpointEvery(5000, path), WithCheckpointHalt(2))
+	_, err = Run(context.Background(), specRun(Timed, cfg, sp, ps), nil, WithCheckpointEvery(5000, path), WithCheckpointHalt(2))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	resumed, err := ResumeFrom(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -196,19 +196,18 @@ func TestCheckpointSignal(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "dss-qry17")
 	ps := PrefSpec{Kind: Ideal}
-	base, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	base, err := Run(context.Background(), specRun(Timed, cfg, sp, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sig.stmsckpt")
 	ch := make(chan struct{})
 	close(ch)
-	_, err = RunTimedCtx(context.Background(), cfg, sp, ps, nil,
-		WithCheckpointEvery(0, path), WithCheckpointSignal(ch))
+	_, err = Run(context.Background(), specRun(Timed, cfg, sp, ps), nil, WithCheckpointEvery(0, path), WithCheckpointSignal(ch))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	resumed, err := ResumeFrom(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -218,25 +217,24 @@ func TestCheckpointSignal(t *testing.T) {
 }
 
 // TestCheckpointTapeResume proves tape-backed runs checkpoint and
-// resume through ResumeTape with the caller-supplied tape.
+// resume with the caller-supplied tape.
 func TestCheckpointTapeResume(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "oltp-oracle")
 	ps := PrefSpec{Kind: STMS}
 	total := cfg.WarmRecords + cfg.MeasureRecords
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, total)
-	base, err := RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil)
+	base, err := Run(context.Background(), tapeRun(Timed, cfg, tape, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ckpts [][]byte
-	observed, err := RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil,
-		WithCheckpointFunc(7000, func(data []byte) error {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			ckpts = append(ckpts, cp)
-			return nil
-		}))
+	observed, err := Run(context.Background(), tapeRun(Timed, cfg, tape, ps), nil, WithCheckpointFunc(7000, func(data []byte) error {
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		ckpts = append(ckpts, cp)
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +245,7 @@ func TestCheckpointTapeResume(t *testing.T) {
 		t.Fatal("no checkpoints captured")
 	}
 	for _, k := range sampleIndices(len(ckpts)) {
-		resumed, err := ResumeTape(context.Background(), ckpts[k], tape, nil)
+		resumed, err := resumeRun(context.Background(), ckpts[k], tape, nil)
 		if err != nil {
 			t.Fatalf("resume %d: %v", k, err)
 		}
@@ -256,8 +254,8 @@ func TestCheckpointTapeResume(t *testing.T) {
 		}
 	}
 	// A tape-backed checkpoint refuses the tapeless resume path.
-	if _, err := ResumeFromBytes(context.Background(), ckpts[0], nil); err == nil {
-		t.Fatal("ResumeFromBytes accepted a tape-backed checkpoint")
+	if _, err := resumeRun(context.Background(), ckpts[0], nil, nil); err == nil {
+		t.Fatal("a tape-backed checkpoint resumed without its tape")
 	}
 }
 
@@ -268,12 +266,12 @@ func TestCheckpointRefusals(t *testing.T) {
 	sp := spec(t, "web-apache")
 	sink := WithCheckpointFunc(1000, func([]byte) error { return nil })
 
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: TSE}, nil, sink); err == nil {
+	if _, err := Run(context.Background(), specRun(Timed, cfg, sp, PrefSpec{Kind: TSE}), nil, sink); err == nil {
 		t.Fatal("TSE run accepted a checkpoint request")
 	}
 	scfg := core.DefaultConfig(cfg.Cores).Scaled(cfg.Scale)
 	scfg.Org = core.OrgDirectMapped
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS, STMSCfg: &scfg}, nil, sink); err == nil {
+	if _, err := Run(context.Background(), specRun(Timed, cfg, sp, PrefSpec{Kind: STMS, STMSCfg: &scfg}), nil, sink); err == nil {
 		t.Fatal("alternative index organization accepted a checkpoint request")
 	}
 	gens := make([]trace.Generator, cfg.Cores)
@@ -281,7 +279,11 @@ func TestCheckpointRefusals(t *testing.T) {
 	for i := range gens {
 		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: 1000}
 	}
-	if _, err := RunTimedTraceCtx(context.Background(), cfg, "ext", gens, 0, PrefSpec{Kind: None}, nil, sink); err == nil {
+	ext := SourceRun{Spec: trace.Spec{Name: "ext"}, Sources: make([]trace.FrameSource, cfg.Cores)}
+	for i := range gens {
+		ext.Sources[i] = trace.AutoFrames(gens[i])
+	}
+	if _, err := Run(context.Background(), streamRun(Timed, cfg, ext, PrefSpec{Kind: None}), nil, sink); err == nil {
 		t.Fatal("external-generator run accepted a checkpoint request")
 	}
 }
@@ -292,8 +294,7 @@ func TestCheckpointCorruptFile(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-zeus")
 	path := filepath.Join(t.TempDir(), "c.stmsckpt")
-	_, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil,
-		WithCheckpointEvery(5000, path), WithCheckpointHalt(1))
+	_, err := Run(context.Background(), specRun(Functional, cfg, sp, PrefSpec{Kind: None}), nil, WithCheckpointEvery(5000, path), WithCheckpointHalt(1))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
@@ -304,13 +305,13 @@ func TestCheckpointCorruptFile(t *testing.T) {
 	flip := make([]byte, len(data))
 	copy(flip, data)
 	flip[len(flip)/2] ^= 0x40
-	if _, err := ResumeFromBytes(context.Background(), flip, nil); err == nil {
+	if _, err := resumeRun(context.Background(), flip, nil, nil); err == nil {
 		t.Fatal("bit-flipped checkpoint restored")
 	}
-	if _, err := ResumeFromBytes(context.Background(), data[:len(data)-3], nil); err == nil {
+	if _, err := resumeRun(context.Background(), data[:len(data)-3], nil, nil); err == nil {
 		t.Fatal("truncated checkpoint restored")
 	}
-	if _, err := ResumeFromBytes(context.Background(), data, nil); err != nil {
+	if _, err := resumeRun(context.Background(), data, nil, nil); err != nil {
 		t.Fatalf("pristine checkpoint failed to restore: %v", err)
 	}
 }
@@ -321,23 +322,22 @@ func TestCheckpointDescMismatch(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-apache")
 	var data []byte
-	_, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil,
-		WithCheckpointFunc(5000, func(d []byte) error {
-			data = append([]byte(nil), d...)
-			return nil
-		}), WithCheckpointHalt(1))
+	_, err := Run(context.Background(), specRun(Functional, cfg, sp, PrefSpec{Kind: None}), nil, WithCheckpointFunc(5000, func(d []byte) error {
+		data = append([]byte(nil), d...)
+		return nil
+	}), WithCheckpointHalt(1))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	if _, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: Ideal}, nil, WithResume(data)); err == nil {
+	if _, err := Run(context.Background(), specRun(Functional, cfg, sp, PrefSpec{Kind: Ideal}), nil, WithResume(data)); err == nil {
 		t.Fatal("variant mismatch accepted")
 	}
 	other := cfg
 	other.Seed++
-	if _, err := RunFunctionalCtx(context.Background(), other, sp, PrefSpec{Kind: None}, nil, WithResume(data)); err == nil {
+	if _, err := Run(context.Background(), specRun(Functional, other, sp, PrefSpec{Kind: None}), nil, WithResume(data)); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil, WithResume(data)); err == nil {
+	if _, err := Run(context.Background(), specRun(Timed, cfg, sp, PrefSpec{Kind: None}), nil, WithResume(data)); err == nil {
 		t.Fatal("driver mismatch accepted")
 	}
 	d, err := PeekCheckpoint(data)
@@ -346,5 +346,93 @@ func TestCheckpointDescMismatch(t *testing.T) {
 	}
 	if d.Mode != "functional" || d.Source != "spec" || d.Spec == nil || d.Spec.Name != "web-apache" {
 		t.Fatalf("descriptor mismatch: %+v", d)
+	}
+}
+
+// resumeRun resumes sealed checkpoint bytes into the run their
+// descriptor names; tape serves tape-backed checkpoints.
+func resumeRun(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (Results, error) {
+	d, err := PeekCheckpoint(data)
+	if err != nil {
+		return Results{}, err
+	}
+	rs, err := d.RunSpec(tape)
+	if err != nil {
+		return Results{}, err
+	}
+	return Run(ctx, rs, progress, append(opts, WithResume(data))...)
+}
+
+// resumeFile resumes the checkpoint file at path.
+func resumeFile(path string) (Results, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Results{}, err
+	}
+	return resumeRun(context.Background(), data, nil, nil)
+}
+
+// TestResumeIdentityMismatch: a checkpoint restores only into the run
+// that wrote it. Each case resumes a valid checkpoint into a run that
+// differs in exactly one part of its identity — another workload,
+// another sampling probability, another workload's tape — which would
+// restore cleanly and then produce wrong results; every one must fail.
+func TestResumeIdentityMismatch(t *testing.T) {
+	cfg := ckptConfig()
+	web, oltp := spec(t, "web-apache"), spec(t, "oltp-db2")
+	perCore := cfg.WarmRecords + cfg.MeasureRecords
+	webTape := trace.NewTape(web.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
+	oltpTape := trace.NewTape(oltp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
+	p125 := PrefSpec{Kind: STMS, SampleProb: 0.125}
+	p5 := PrefSpec{Kind: STMS, SampleProb: 0.5}
+	smp := Sampling{Windows: 2}
+	ctx := context.Background()
+	capture := func(run func(...RunOption) error) []byte {
+		t.Helper()
+		var data []byte
+		err := run(WithCheckpointFunc(3000, func(d []byte) error {
+			data = append([]byte(nil), d...)
+			return nil
+		}), WithCheckpointHalt(1))
+		if !errors.Is(err, ErrCheckpointed) {
+			t.Fatalf("want ErrCheckpointed, got %v", err)
+		}
+		return data
+	}
+	exact := func(rs RunSpec) []byte {
+		return capture(func(opts ...RunOption) error { _, err := Run(ctx, rs, nil, opts...); return err })
+	}
+	sampled := func(rs RunSpec) []byte {
+		return capture(func(opts ...RunOption) error { _, err := RunSampled(ctx, rs, smp, nil, opts...); return err })
+	}
+	for _, tc := range []struct {
+		name   string
+		ckpt   []byte
+		resume func(data []byte) error
+	}{
+		{"other workload", exact(specRun(Timed, cfg, web, p125)), func(data []byte) error {
+			_, err := Run(ctx, specRun(Timed, cfg, oltp, p125), nil, WithResume(data))
+			return err
+		}},
+		{"other sampling probability", exact(specRun(Timed, cfg, web, p125)), func(data []byte) error {
+			_, err := Run(ctx, specRun(Timed, cfg, web, p5), nil, WithResume(data))
+			return err
+		}},
+		{"other workload's tape", exact(tapeRun(Timed, cfg, webTape, p125)), func(data []byte) error {
+			_, err := resumeRun(ctx, data, oltpTape, nil)
+			return err
+		}},
+		{"sampled, other workload", sampled(specRun(Timed, cfg, web, p125)), func(data []byte) error {
+			_, err := RunSampled(ctx, specRun(Timed, cfg, oltp, p125), smp, nil, WithResume(data))
+			return err
+		}},
+		{"sampled, other sampling probability", sampled(specRun(Timed, cfg, web, p125)), func(data []byte) error {
+			_, err := RunSampled(ctx, specRun(Timed, cfg, web, p5), smp, nil, WithResume(data))
+			return err
+		}},
+	} {
+		if err := tc.resume(tc.ckpt); err == nil {
+			t.Errorf("%s: mismatched checkpoint resumed without error", tc.name)
+		}
 	}
 }

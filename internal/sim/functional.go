@@ -76,99 +76,6 @@ func (e funcEnv) OnChip(core int, blk uint64) bool {
 	return e.s.l1[core].Probe(blk) || e.s.l2.Probe(blk)
 }
 
-// RunFunctional executes the functional driver and returns coverage
-// results (timing fields zero).
-func RunFunctional(cfg Config, spec trace.Spec, ps PrefSpec) Results {
-	r, err := RunFunctionalCtx(context.Background(), cfg, spec, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunFunctionalCtx is RunFunctional with cooperative cancellation and an
-// optional progress hook. The context is polled every few thousand
-// records; on cancellation ctx.Err() is returned. Configuration errors
-// are returned rather than panicking.
-//
-// This is the live-generation path; like the timed driver, its Results
-// are bit-identical to replaying a trace.Tape of the same identity
-// through RunFunctionalTapeCtx.
-func RunFunctionalCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	lib := trace.NewLibrary(scaled, cfg.Seed)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		// The bound mirrors the timed driver (and the tape path's
-		// CursorN), so frame boundaries — and Results.Frames — are
-		// identical across drivers and trace substrates.
-		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: total}
-	}
-	src := ckptSrc{kind: "spec", spec: spec}
-	return runFunctional(ctx, cfg, scaled, gens, nil, nil, ps, progress, src, opts)
-}
-
-// RunFunctionalScenarioCtx executes the zero-latency driver over a
-// phase-structured scenario (scaled by cfg.Scale, materialized against
-// the warm + measure budget). Results carry per-phase stat windows;
-// timing fields stay zero.
-func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens, marks, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-	if err != nil {
-		return Results{}, err
-	}
-	for i, g := range gens {
-		gens[i] = &trace.Limit{Gen: g, N: total}
-	}
-	src := ckptSrc{kind: "scenario", scn: scn}
-	return runFunctional(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), gens, nil, marks, ps, progress, src, opts)
-}
-
-// RunFunctionalTapeCtx executes the functional driver over a
-// materialized columnar tape (same contract as RunTimedTapeCtx: the
-// tape's identity must match the configuration's trace identity).
-func RunFunctionalTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	perCore := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, perCore); err != nil {
-		return Results{}, err
-	}
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = tape.CursorN(i, perCore)
-	}
-	src := ckptSrc{kind: "tape"}
-	return runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, progress, src, opts)
-}
-
-// RunFunctionalSourcesCtx executes the functional driver over externally
-// produced frame sources — a stream.Inlet's Sources, typically. The
-// bundle's Spec and Marks stand in for the locally derived identity;
-// checkpointing is unavailable (the sources cannot be re-seeked). When
-// the bundle declares a per-core record count, the run budget must match
-// it exactly so Results stay bit-identical to direct replay.
-func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if err := run.validate(cfg); err != nil {
-		return Results{}, err
-	}
-	src := ckptSrc{kind: "external"}
-	return runFunctional(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, ps, progress, src, opts)
-}
-
 // newFunctional constructs the zero-latency system (also used by the
 // sampling scheduler's warming pass).
 func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
@@ -190,10 +97,16 @@ func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
 	return s
 }
 
-// runFunctional drives the zero-latency system over per-core record
-// generators, round-robin, one record per core per tick; marks, when
-// non-nil, request per-phase stat windows in the Results.
-func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, extSrcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, src ckptSrc, opts []RunOption) (Results, error) {
+// runFunctional drives the zero-latency system over per-core frame
+// sources, round-robin, one record per core per tick, closing the
+// sources on every exit path; marks, when non-nil, request per-phase
+// stat windows in the Results.
+func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, src ckptSrc, opts []RunOption) (Results, error) {
+	defer func() {
+		for _, fs := range srcs {
+			fs.Close()
+		}
+	}()
 	if ctx == nil {
 		ctx = context.Background() // nil = never cancelled
 	}
@@ -209,22 +122,9 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 	// round-robin interleave reads straight from the frame columns —
 	// identical record order to the old per-record Next loop, without its
 	// per-record interface dispatch.
-	srcs := make([]trace.FrameSource, cfg.Cores)
 	frames := make([]*trace.Frame, cfg.Cores)
 	pos := make([]int, cfg.Cores)
 	framesRead := make([]uint64, cfg.Cores)
-	for i := range srcs {
-		if extSrcs != nil {
-			srcs[i] = extSrcs[i]
-		} else {
-			srcs[i] = trace.AutoFrames(gens[i])
-		}
-	}
-	defer func() {
-		for _, src := range srcs {
-			src.Close()
-		}
-	}()
 
 	ls := &funcLoopState{
 		seen: seen, framesRead: framesRead, pos: pos,
@@ -241,7 +141,7 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 		if err != nil {
 			return Results{}, err
 		}
-		if err := checkDesc(d, "functional", src, cfg, ps); err != nil {
+		if err := checkDesc(d, "functional", src, cfg, ps, scaled); err != nil {
 			return Results{}, err
 		}
 		if err := s.restoreFunc(dec, ls); err != nil {

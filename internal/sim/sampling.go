@@ -54,7 +54,7 @@ import (
 // with real parallel speedup. K = 1 takes none of these stages: it
 // delegates to the exact serial run and is bit-identical to it.
 
-// Sampling configures sampled simulation for RunSampledCtx.
+// Sampling configures sampled simulation for RunSampled.
 type Sampling struct {
 	// Windows is K, the number of concurrent measurement windows the
 	// measurement span is split into. 0 and 1 both mean "exact": the
@@ -186,12 +186,6 @@ func windowPlan(cfg Config, smp Sampling) []windowGeom {
 	return plan
 }
 
-// genMaker builds fresh per-core generators positioned skip records in
-// (per core) with exactly budget records remaining. Each window calls
-// it independently, so implementations must not share mutable state
-// across calls.
-type genMaker func(skip, budget uint64) ([]trace.Generator, error)
-
 // drainRecords consumes n records from g.
 func drainRecords(g trace.Generator, n uint64) error {
 	var r trace.Record
@@ -199,18 +193,6 @@ func drainRecords(g trace.Generator, n uint64) error {
 		if !g.Next(&r) {
 			return fmt.Errorf("sim: trace ran dry after %d of %d skipped records", i, n)
 		}
-	}
-	return nil
-}
-
-// sampledSupported gates sampling on configurations whose warm state is
-// snapshotable — the same set as checkpointing.
-func sampledSupported(src ckptSrc, ps PrefSpec) error {
-	if !CheckpointablePref(ps) {
-		return fmt.Errorf("sim: the %s variant is not sampleable (warm state cannot be snapshotted)", ps.Kind)
-	}
-	if src.kind == "external" {
-		return fmt.Errorf("sim: runs over externally supplied generators cannot be sampled (sources cannot be re-derived per window)")
 	}
 	return nil
 }
@@ -301,6 +283,11 @@ type sampledDesc struct {
 	Spec     *trace.Spec     `json:"spec,omitempty"`
 	Scenario *trace.Scenario `json:"scenario,omitempty"`
 	Smp      Sampling        `json:"sampling"`
+}
+
+// desc is the sampled descriptor's run identity in CheckpointDesc form.
+func (d sampledDesc) desc() CheckpointDesc {
+	return CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS, Spec: d.Spec, Scenario: d.Scenario}
 }
 
 // Per-window slot states in a sampled container.
@@ -435,8 +422,7 @@ func PeekSampled(data []byte) (Sampling, CheckpointDesc, int, error) {
 			done++
 		}
 	}
-	cd := CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS, Spec: d.Spec, Scenario: d.Scenario}
-	return d.Smp, cd, done, nil
+	return d.Smp, d.desc(), done, nil
 }
 
 // --- entry points ----------------------------------------------------------
@@ -460,171 +446,58 @@ func exactSampled(r Results, smp Sampling) SampledResults {
 	}
 }
 
-// RunSampled executes a sampled timed simulation of the workload and
-// panics on configuration errors (the ergonomic sibling of RunTimed).
-func RunSampled(cfg Config, spec trace.Spec, ps PrefSpec, smp Sampling) SampledResults {
-	r, err := RunSampledCtx(context.Background(), cfg, spec, ps, smp, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunSampledCtx executes the timed simulation as K concurrent sampled
-// windows and returns the stitched estimate with confidence intervals.
-// K ≤ 1 delegates to RunTimedCtx: the Results are bit-identical to the
-// exact serial run (and Exact is set). Checkpoint options apply to the
-// sampled run as a whole: windows share one combined container that
-// ResumeSampledCtx restores (completed windows are not re-run).
-func RunSampledCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResults{}, err
-	}
-	if err := smp.validate(); err != nil {
-		return SampledResults{}, err
-	}
-	smp = smp.normalized(cfg)
-	if smp.Windows <= 1 {
-		r, err := RunTimedCtx(ctx, cfg, spec, ps, progress, opts...)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		return exactSampled(r, smp), nil
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		lib := trace.NewLibrary(scaled, cfg.Seed)
-		gens := make([]trace.Generator, cfg.Cores)
-		for i := range gens {
-			g := trace.NewGenerator(lib, i, cfg.Seed)
-			if err := drainRecords(g, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = &trace.Limit{Gen: g, N: budget}
-		}
-		return gens, nil
-	}
-	sp := spec
-	desc := sampledDesc{Mode: "sampled", Source: "spec", Cfg: cfg, PS: ps, Spec: &sp, Smp: smp}
-	return runSampled(ctx, cfg, scaled, ps, smp, progress, ckptSrc{kind: "spec", spec: spec}, desc, mk, opts)
-}
-
-// RunSampledScenarioCtx is RunSampledCtx over a phase-structured
-// scenario. Window generators are materialized against the serial run's
-// budget so phase boundaries stay where the exact run puts them; the
-// stitched Results carry no per-phase windows (phases attribute records
-// across window boundaries).
-func RunSampledScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResults{}, err
-	}
-	if err := smp.validate(); err != nil {
-		return SampledResults{}, err
-	}
-	smp = smp.normalized(cfg)
-	if smp.Windows <= 1 {
-		r, err := RunTimedScenarioCtx(ctx, cfg, scn, ps, progress, opts...)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		return exactSampled(r, smp), nil
-	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		gens, _, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-		if err != nil {
-			return nil, err
-		}
-		for i, g := range gens {
-			if err := drainRecords(g, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = &trace.Limit{Gen: g, N: budget}
-		}
-		return gens, nil
-	}
-	sc := scn
-	desc := sampledDesc{Mode: "sampled", Source: "scenario", Cfg: cfg, PS: ps, Scenario: &sc, Smp: smp}
-	return runSampled(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), ps, smp, progress, ckptSrc{kind: "scenario", scn: scn}, desc, mk, opts)
-}
-
-// RunSampledTapeCtx is RunSampledCtx over a materialized columnar tape
-// (same identity contract as RunTimedTapeCtx). Window cursors decode
-// from the head of each core's column — the tape has no random access —
-// so very large K over very long tapes pays quadratic decode work; the
-// decode is ~100× cheaper than detailed simulation, which keeps the
-// skip cost in the noise at practical window counts.
-func RunSampledTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResults{}, err
-	}
-	if err := smp.validate(); err != nil {
-		return SampledResults{}, err
-	}
-	perCore := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, perCore); err != nil {
-		return SampledResults{}, err
-	}
-	smp = smp.normalized(cfg)
-	if smp.Windows <= 1 {
-		r, err := RunTimedTapeCtx(ctx, cfg, tape, ps, progress, opts...)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		return exactSampled(r, smp), nil
-	}
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		gens := make([]trace.Generator, cfg.Cores)
-		for i := range gens {
-			cu := tape.CursorN(i, skip+budget)
-			if err := drainRecords(cu, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = cu
-		}
-		return gens, nil
-	}
-	sp := tape.Spec()
-	desc := sampledDesc{Mode: "sampled", Source: "tape", Cfg: cfg, PS: ps, Spec: &sp, Smp: smp}
-	return runSampled(ctx, cfg, tape.Spec(), ps, smp, progress, ckptSrc{kind: "tape"}, desc, mk, opts)
-}
-
-// ResumeSampledCtx continues a sampled run from sealed combined
-// checkpoint bytes: completed windows are restored from their recorded
-// Results, mid-flight windows resume from their window checkpoints, and
-// untouched windows run fresh. Every path is deterministic, so the
-// resumed estimate is identical to the uninterrupted run's.
-// Tape-backed sampled checkpoints need ResumeSampledTape.
-func ResumeSampledCtx(ctx context.Context, data []byte, progress Progress, opts ...RunOption) (SampledResults, error) {
-	d, _, _, err := openSampled(data)
-	if err != nil {
-		return SampledResults{}, err
-	}
-	opts = append(opts, WithResume(data))
+// RunSampled executes a timed run as K concurrent sampled windows and
+// returns the stitched estimate with confidence intervals. K ≤ 1
+// delegates to Run: the Results are bit-identical to the exact serial
+// run (and Exact is set). Window generators are materialized against
+// the serial run's budget, so scenario phase boundaries stay where the
+// exact run puts them; the stitched Results carry no per-phase windows
+// (phases attribute records across window boundaries).
+//
+// Checkpoint options apply to the sampled run as a whole: windows share
+// one combined container, which RunSampled restores through WithResume
+// (rebuild its RunSpec with PeekSampled and CheckpointDesc.RunSpec).
+// Completed windows are restored from their recorded Results,
+// mid-flight windows resume from their window checkpoints, and
+// untouched windows run fresh; the resumed estimate is identical to the
+// uninterrupted run's.
+//
+// Sampling needs a timed run over a re-derivable source whose warm
+// state snapshots: the None/Ideal/STMS variants over a Spec, Scenario
+// or Tape. Other runs are rejected with an error.
+func RunSampled(ctx context.Context, rs RunSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
 	switch {
-	case d.Source == "tape":
-		return SampledResults{}, fmt.Errorf("sim: sampled checkpoint is tape-backed; resume it with ResumeSampledTape and the tape")
-	case d.Source == "spec" && d.Spec != nil:
-		return RunSampledCtx(ctx, d.Cfg, *d.Spec, d.PS, d.Smp, progress, opts...)
-	case d.Source == "scenario" && d.Scenario != nil:
-		return RunSampledScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, d.Smp, progress, opts...)
+	case rs.Mode != Timed:
+		return SampledResults{}, fmt.Errorf("sim: sampled runs are timed, not %s", rs.Mode)
+	case rs.Source.Stream != nil:
+		return SampledResults{}, fmt.Errorf("sim: runs over externally supplied sources cannot be sampled (sources cannot be re-derived per window)")
 	}
-	return SampledResults{}, fmt.Errorf("sim: sampled checkpoint names unknown source %q", d.Source)
-}
-
-// ResumeSampledTape continues a tape-backed sampled run; the caller
-// supplies the tape, as with ResumeTape.
-func ResumeSampledTape(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (SampledResults, error) {
-	d, _, _, err := openSampled(data)
+	r, err := resolve(rs)
 	if err != nil {
 		return SampledResults{}, err
 	}
-	if d.Source != "tape" {
-		return SampledResults{}, fmt.Errorf("sim: sampled checkpoint is %s-backed, not tape-backed", d.Source)
+	if err := smp.validate(); err != nil {
+		return SampledResults{}, err
 	}
-	opts = append(opts, WithResume(data))
-	return RunSampledTapeCtx(ctx, d.Cfg, tape, d.PS, d.Smp, progress, opts...)
+	smp = smp.normalized(rs.Config)
+	if smp.Windows <= 1 {
+		res, err := r.run(ctx, rs, progress, opts)
+		if err != nil {
+			return SampledResults{}, err
+		}
+		return exactSampled(res, smp), nil
+	}
+	if !CheckpointablePref(rs.Pref) {
+		return SampledResults{}, fmt.Errorf("sim: the %s variant is not sampleable (warm state cannot be snapshotted)", rs.Pref.Kind)
+	}
+	return runSampled(ctx, rs.Config, rs.Pref, smp, progress, r, opts)
+}
+
+// RunSampledTapeCtx is RunSampled over a tape.
+//
+// Deprecated: use RunSampled with Source{Tape: tape}.
+func RunSampledTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
+	return RunSampled(ctx, RunSpec{Mode: Timed, Config: cfg, Source: Source{Tape: tape}, Pref: ps}, smp, progress, opts...)
 }
 
 // --- scheduler -------------------------------------------------------------
@@ -632,13 +505,13 @@ func ResumeSampledTape(ctx context.Context, data []byte, tape *trace.Tape, progr
 // runSampled is the fork/join scheduler: K goroutines, one per window,
 // each warming and running its own detailed simulation; the join step
 // stitches the window Results and computes the intervals.
-func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec, smp Sampling, progress Progress, baseSrc ckptSrc, desc sampledDesc, mk genMaker, opts []RunOption) (SampledResults, error) {
+func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, progress Progress, r resolved, opts []RunOption) (SampledResults, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := sampledSupported(baseSrc, ps); err != nil {
-		return SampledResults{}, err
-	}
+	scaled := r.scaled
+	d := descFor("sampled", r.src, cfg, ps, scaled, 0)
+	desc := sampledDesc{Mode: d.Mode, Source: d.Source, Cfg: cfg, PS: ps, Spec: d.Spec, Scenario: d.Scenario, Smp: smp}
 	opt := gatherOpts(opts)
 	plan := windowPlan(cfg, smp)
 	k := len(plan)
@@ -698,7 +571,7 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 		}
 	}
 
-	wsrc := ckptSrc{kind: "window:" + baseSrc.kind}
+	wsrc := ckptSrc{kind: "window:" + r.src.kind}
 	results := make([]Results, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -717,7 +590,7 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 		wg.Add(1)
 		go func(w int, resume []byte) {
 			defer wg.Done()
-			results[w], errs[w] = runOneWindow(ctx2, cfg, scaled, ps, plan[w], wsrc, mk, sc, w, resume, opt.stopCh, progFor(w))
+			results[w], errs[w] = runOneWindow(ctx2, cfg, scaled, ps, plan[w], wsrc, r.mk, sc, w, resume, opt.stopCh, progFor(w))
 			switch {
 			case errs[w] == nil:
 				if sc != nil {
@@ -772,16 +645,10 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 // checkSampledDesc validates a resume descriptor against the run being
 // restored into.
 func checkSampledDesc(d, want sampledDesc) error {
-	switch {
-	case d.Mode != "sampled":
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming sampled", d.Mode)
-	case d.Source != want.Source:
-		return fmt.Errorf("sim: sampled checkpoint source %q does not match run source %q", d.Source, want.Source)
-	case d.Cfg != want.Cfg:
-		return fmt.Errorf("sim: sampled checkpoint configuration does not match the run's")
-	case d.PS.Kind != want.PS.Kind:
-		return fmt.Errorf("sim: sampled checkpoint is a %s run, resuming %s", d.PS.Kind, want.PS.Kind)
-	case d.Smp != want.Smp:
+	if err := sameRun(d.desc(), want.desc()); err != nil {
+		return err
+	}
+	if d.Smp != want.Smp {
 		return fmt.Errorf("sim: sampled checkpoint parameters %+v do not match the run's %+v", d.Smp, want.Smp)
 	}
 	return nil
@@ -807,12 +674,12 @@ func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpe
 		// A resumed window restores its full mid-run state; the warm
 		// pass already happened in the original run.
 		wopts = append(wopts, WithResume(resume))
-		gens, err = mk(g.start-g.warm, g.warm+g.length)
+		gens, _, err = mk(g.start-g.warm, g.warm+g.length)
 	case g.funcWarm+g.metaWarm > 0:
 		// One generator set covers warming and the timed run: runWarm
 		// consumes exactly the warming budget record-at-a-time, leaving
 		// the generators positioned at the detailed warm-up boundary.
-		gens, err = mk(0, g.start+g.length)
+		gens, _, err = mk(0, g.start+g.length)
 		if err != nil {
 			return Results{}, err
 		}
@@ -823,12 +690,16 @@ func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpe
 		}
 		wopts = append(wopts, withWarmState(snap))
 	default:
-		gens, err = mk(g.start-g.warm, g.warm+g.length)
+		gens, _, err = mk(g.start-g.warm, g.warm+g.length)
 	}
 	if err != nil {
 		return Results{}, err
 	}
-	return runTimed(ctx, cfgW, scaled, gens, nil, nil, ps, progress, (g.warm+g.length)*uint64(cfg.Cores), wsrc, wopts)
+	srcs := make([]trace.FrameSource, len(gens))
+	for i, gen := range gens {
+		srcs[i] = trace.AutoFrames(gen)
+	}
+	return runTimed(ctx, cfgW, scaled, srcs, nil, ps, progress, (g.warm+g.length)*uint64(cfg.Cores), wsrc, wopts)
 }
 
 // addEngineCounts is the element-wise sum (the Sub counterpart, used

@@ -40,12 +40,12 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := RunTimedCtx(ctx, cfg, sp, ps, nil)
+		exact, err := Run(ctx, specRun(Timed, cfg, sp, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1} {
-			sr, err := RunSampledCtx(ctx, cfg, sp, ps, Sampling{Windows: k}, nil)
+			sr, err := RunSampled(ctx, specRun(Timed, cfg, sp, ps), Sampling{Windows: k}, nil)
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", name, k, err)
 			}
@@ -53,11 +53,11 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		}
 	}
 	for _, scn := range trace.Scenarios() {
-		exact, err := RunTimedScenarioCtx(ctx, cfg, scn, ps, nil)
+		exact, err := Run(ctx, scnRun(Timed, cfg, scn, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := RunSampledScenarioCtx(ctx, cfg, scn, ps, Sampling{Windows: 1}, nil)
+		sr, err := RunSampled(ctx, scnRun(Timed, cfg, scn, ps), Sampling{Windows: 1}, nil)
 		if err != nil {
 			t.Fatalf("scenario %s: %v", scn.Name, err)
 		}
@@ -68,11 +68,11 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
-	exact, err := RunTimedTapeCtx(ctx, cfg, tape, ps, nil)
+	exact, err := Run(ctx, tapeRun(Timed, cfg, tape, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledTapeCtx(ctx, cfg, tape, ps, Sampling{Windows: 1}, nil)
+	sr, err := RunSampled(ctx, tapeRun(Timed, cfg, tape, ps), Sampling{Windows: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSampledWindowsTileRecordStream(t *testing.T) {
 		for _, seed := range []uint64{0, 7} {
 			cfg := samplingConfig()
 			cfg.Seed = seed
-			sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: k}, nil)
+			sr, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), Sampling{Windows: k}, nil)
 			if err != nil {
 				t.Fatalf("K=%d seed=%d: %v", k, seed, err)
 			}
@@ -189,11 +189,11 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	smp := Sampling{Windows: 4}
-	a, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), smp, nil)
+	a, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), smp, nil)
+	b, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestSampledCIContainment(t *testing.T) {
 	for seed := 0; seed < trials; seed++ {
 		cfg := samplingConfig()
 		cfg.Seed = uint64(seed)
-		exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+		exact, err := Run(context.Background(), specRun(Timed, cfg, sp, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: 4}, nil)
+		sr, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), Sampling{Windows: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +271,11 @@ func TestSampledCIWidthShrinks(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := samplingConfig()
 		cfg.Seed = seed
-		narrow, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 16}, nil)
+		narrow, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), Sampling{Windows: 16}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 4}, nil)
+		wide, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), Sampling{Windows: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestSampledManyWindows(t *testing.T) {
 		k = 32
 	}
 	cfg := samplingConfig()
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: k}, nil)
+	sr, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), Sampling{Windows: k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSampledCancelLeavesNoGoroutines(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	cfg.MeasureRecords = 64_000 // long enough that cancellation lands mid-run
-	_, err = RunSampledCtx(ctx, cfg, sp, stmsSpec(), Sampling{Windows: 4}, progress)
+	_, err = RunSampled(ctx, specRun(Timed, cfg, sp, stmsSpec()), Sampling{Windows: 4}, progress)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -365,18 +365,16 @@ func TestSampledKillResume(t *testing.T) {
 	cfg := samplingConfig()
 	ps := stmsSpec()
 	smp := Sampling{Windows: 4}
-	base, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil)
+	base, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, halt := range []int{1, 5} {
 		var last []byte
-		_, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil,
-			WithCheckpointFunc(1_500, func(data []byte) error {
-				last = append(last[:0], data...)
-				return nil
-			}),
-			WithCheckpointHalt(halt))
+		_, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), smp, nil, WithCheckpointFunc(1_500, func(data []byte) error {
+			last = append(last[:0], data...)
+			return nil
+		}), WithCheckpointHalt(halt))
 		if !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("halt=%d: run returned %v, want ErrCheckpointed", halt, err)
 		}
@@ -390,7 +388,7 @@ func TestSampledKillResume(t *testing.T) {
 		if desc.Mode != "sampled" || smpGot != smp.normalized(cfg) || done >= smp.Windows {
 			t.Fatalf("halt=%d: container says mode=%q smp=%+v done=%d", halt, desc.Mode, smpGot, done)
 		}
-		resumed, err := ResumeSampledCtx(context.Background(), last, nil)
+		resumed, err := resumeSampled(context.Background(), last, nil, nil)
 		if err != nil {
 			t.Fatalf("halt=%d: resume: %v", halt, err)
 		}
@@ -412,12 +410,12 @@ func TestSampledTapeAndScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSpec, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil)
+	fromSpec, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
-	fromTape, err := RunSampledTapeCtx(context.Background(), cfg, tape, ps, smp, nil)
+	fromTape, err := RunSampled(context.Background(), tapeRun(Timed, cfg, tape, ps), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +427,7 @@ func TestSampledTapeAndScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledScenarioCtx(context.Background(), cfg, scn, ps, smp, nil)
+	sr, err := RunSampled(context.Background(), scnRun(Timed, cfg, scn, ps), smp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,10 +445,10 @@ func TestSampledRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 2, Confidence: 1.5}, nil); err == nil {
+	if _, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, stmsSpec()), Sampling{Windows: 2, Confidence: 1.5}, nil); err == nil {
 		t.Error("confidence 1.5 accepted")
 	}
-	if _, err := RunSampledCtx(context.Background(), cfg, sp, PrefSpec{Kind: TSE}, Sampling{Windows: 2}, nil); err == nil {
+	if _, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, PrefSpec{Kind: TSE}), Sampling{Windows: 2}, nil); err == nil {
 		t.Error("non-snapshotable variant accepted for sampling")
 	}
 }
@@ -481,13 +479,13 @@ func TestSampledSpeedup(t *testing.T) {
 		k = 16
 	}
 	t0 := time.Now()
-	exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	exact, err := Run(context.Background(), specRun(Timed, cfg, sp, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dExact := time.Since(t0)
 	t0 = time.Now()
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: k}, nil)
+	sr, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), Sampling{Windows: k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,11 +549,11 @@ func TestSampledCloseToExact(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	ps := stmsSpec()
-	exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	exact, err := Run(context.Background(), specRun(Timed, cfg, sp, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: 4}, nil)
+	sr, err := RunSampled(context.Background(), specRun(Timed, cfg, sp, ps), Sampling{Windows: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,4 +562,18 @@ func TestSampledCloseToExact(t *testing.T) {
 	} else {
 		t.Logf("worst metric error %.2f%% vs exact", e)
 	}
+}
+
+// resumeSampled resumes a sealed sampled container into the run its
+// descriptor names; tape serves tape-backed containers.
+func resumeSampled(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (SampledResults, error) {
+	smp, d, _, err := PeekSampled(data)
+	if err != nil {
+		return SampledResults{}, err
+	}
+	rs, err := d.RunSpec(tape)
+	if err != nil {
+		return SampledResults{}, err
+	}
+	return RunSampled(ctx, rs, smp, progress, append(opts, WithResume(data))...)
 }

@@ -37,11 +37,11 @@ func TestPhaseWindowsSumToTotals(t *testing.T) {
 	scn := testScenario(t, "phase-flip")
 	ps := PrefSpec{Kind: STMS, SampleProb: 0.125}
 
-	timedRes, err := RunTimedScenarioCtx(nil, cfg, scn, ps, nil)
+	timedRes, err := Run(nil, scnRun(Timed, cfg, scn, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	funcRes, err := RunFunctionalScenarioCtx(nil, cfg, scn, ps, nil)
+	funcRes, err := Run(nil, scnRun(Functional, cfg, scn, ps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestScenarioTapeMatchesLiveResults(t *testing.T) {
 		scaled := scn.Scaled(cfg.Scale)
 		tape := trace.NewScenarioTape(scaled, cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
 
-		live, err := RunTimedScenarioCtx(nil, cfg, scn, ps, nil)
+		live, err := Run(nil, scnRun(Timed, cfg, scn, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := RunTimedTapeCtx(nil, cfg, tape, ps, nil)
+		replay, err := Run(nil, tapeRun(Timed, cfg, tape, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +103,11 @@ func TestScenarioTapeMatchesLiveResults(t *testing.T) {
 			t.Fatalf("%s: timed tape replay differs from live generation", name)
 		}
 
-		liveF, err := RunFunctionalScenarioCtx(nil, cfg, scn, ps, nil)
+		liveF, err := Run(nil, scnRun(Functional, cfg, scn, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayF, err := RunFunctionalTapeCtx(nil, cfg, tape, ps, nil)
+		replayF, err := Run(nil, tapeRun(Functional, cfg, tape, ps), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestScenarioTapeBudgetExact(t *testing.T) {
 	cfg := scenarioTestConfig(1000, 2000)
 	scn := testScenario(t, "phase-flip").Scaled(cfg.Scale)
 	bigger := trace.NewScenarioTape(scn, cfg.Seed, cfg.Cores, 4000)
-	if _, err := RunTimedTapeCtx(nil, cfg, bigger, PrefSpec{Kind: STMS}, nil); err == nil {
+	if _, err := Run(nil, tapeRun(Timed, cfg, bigger, PrefSpec{Kind: STMS}), nil); err == nil {
 		t.Fatal("oversized scenario tape accepted; phase marks would shift")
 	}
 	spec, err := trace.ByName("web-apache")
@@ -132,7 +132,7 @@ func TestScenarioTapeBudgetExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := trace.NewTape(spec.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, 4000)
-	if _, err := RunTimedTapeCtx(nil, cfg, plain, PrefSpec{Kind: STMS}, nil); err != nil {
+	if _, err := Run(nil, tapeRun(Timed, cfg, plain, PrefSpec{Kind: STMS}), nil); err != nil {
 		t.Fatalf("oversized plain tape rejected: %v", err)
 	}
 }

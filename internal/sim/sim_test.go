@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,32 @@ func testConfig() Config {
 	return cfg
 }
 
+// mustRun runs a spec-backed simulation, failing the test on error.
+func mustRun(t *testing.T, mode Mode, cfg Config, s trace.Spec, ps PrefSpec) Results {
+	t.Helper()
+	r, err := Run(context.Background(), specRun(mode, cfg, s, ps), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func specRun(mode Mode, cfg Config, s trace.Spec, ps PrefSpec) RunSpec {
+	return RunSpec{Mode: mode, Config: cfg, Source: Source{Spec: &s}, Pref: ps}
+}
+
+func scnRun(mode Mode, cfg Config, scn trace.Scenario, ps PrefSpec) RunSpec {
+	return RunSpec{Mode: mode, Config: cfg, Source: Source{Scenario: &scn}, Pref: ps}
+}
+
+func tapeRun(mode Mode, cfg Config, tape *trace.Tape, ps PrefSpec) RunSpec {
+	return RunSpec{Mode: mode, Config: cfg, Source: Source{Tape: tape}, Pref: ps}
+}
+
+func streamRun(mode Mode, cfg Config, run SourceRun, ps PrefSpec) RunSpec {
+	return RunSpec{Mode: mode, Config: cfg, Source: Source{Stream: &run}, Pref: ps}
+}
+
 func spec(t *testing.T, name string) trace.Spec {
 	t.Helper()
 	s, err := trace.ByName(name)
@@ -29,7 +56,7 @@ func spec(t *testing.T, name string) trace.Spec {
 
 func TestFunctionalBaselineConservation(t *testing.T) {
 	cfg := testConfig()
-	r := RunFunctional(cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
+	r := mustRun(t, Functional, cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
 	if r.Records == 0 {
 		t.Fatal("no records measured")
 	}
@@ -44,7 +71,7 @@ func TestFunctionalBaselineConservation(t *testing.T) {
 
 func TestFunctionalCoverageConservation(t *testing.T) {
 	cfg := testConfig()
-	r := RunFunctional(cfg, spec(t, "web-apache"), PrefSpec{Kind: Ideal})
+	r := mustRun(t, Functional, cfg, spec(t, "web-apache"), PrefSpec{Kind: Ideal})
 	total := r.L1Hits + r.L2Hits + r.Uncovered + r.CoveredFull + r.CoveredPartial
 	if total != r.Records {
 		t.Fatalf("conservation: %d != %d", total, r.Records)
@@ -60,8 +87,8 @@ func TestFunctionalCoverageConservation(t *testing.T) {
 func TestBaselineMissesInvariant(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "oltp-db2")
-	base := RunFunctional(cfg, s, PrefSpec{Kind: None})
-	ideal := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
+	base := mustRun(t, Functional, cfg, s, PrefSpec{Kind: None})
+	ideal := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
 	if base.Uncovered != ideal.BaselineMisses() {
 		t.Fatalf("baseline misses %d != covered+uncovered %d",
 			base.Uncovered, ideal.BaselineMisses())
@@ -71,8 +98,8 @@ func TestBaselineMissesInvariant(t *testing.T) {
 func TestFunctionalDeterminism(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	a := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	b := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
+	a := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
+	b := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
 	if a.CoveredFull != b.CoveredFull || a.Uncovered != b.Uncovered {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -83,8 +110,8 @@ func TestTimedDeterminism(t *testing.T) {
 	cfg.WarmRecords = 10_000
 	cfg.MeasureRecords = 15_000
 	s := spec(t, "oltp-oracle")
-	a := RunTimed(cfg, s, PrefSpec{Kind: STMS})
-	b := RunTimed(cfg, s, PrefSpec{Kind: STMS})
+	a := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS})
+	b := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS})
 	if a.ElapsedCycles != b.ElapsedCycles || a.CoveredFull != b.CoveredFull ||
 		a.Traffic != b.Traffic {
 		t.Fatal("timed run not deterministic")
@@ -93,7 +120,7 @@ func TestTimedDeterminism(t *testing.T) {
 
 func TestTimedBaselineSane(t *testing.T) {
 	cfg := testConfig()
-	r := RunTimed(cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
+	r := mustRun(t, Timed, cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
 	if r.IPC <= 0 || r.IPC > 16 {
 		t.Fatalf("IPC = %v", r.IPC)
 	}
@@ -111,8 +138,8 @@ func TestTimedBaselineSane(t *testing.T) {
 func TestIdealBeatsBaseline(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "sci-em3d")
-	base := RunTimed(cfg, s, PrefSpec{Kind: None})
-	ideal := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
+	base := mustRun(t, Timed, cfg, s, PrefSpec{Kind: None})
+	ideal := mustRun(t, Timed, cfg, s, PrefSpec{Kind: Ideal})
 	if ideal.SpeedupOver(&base) < 0.2 {
 		t.Fatalf("em3d ideal speedup %.3f too small", ideal.SpeedupOver(&base))
 	}
@@ -124,8 +151,8 @@ func TestIdealBeatsBaseline(t *testing.T) {
 func TestSTMSTracksIdeal(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	ideal := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
-	stms := RunTimed(cfg, s, PrefSpec{Kind: STMS})
+	ideal := mustRun(t, Timed, cfg, s, PrefSpec{Kind: Ideal})
+	stms := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS})
 	ratio := stms.Coverage() / ideal.Coverage()
 	if ratio < 0.7 || ratio > 1.1 {
 		t.Fatalf("STMS/ideal coverage ratio %.3f out of band", ratio)
@@ -135,8 +162,8 @@ func TestSTMSTracksIdeal(t *testing.T) {
 func TestSTMSSamplingReducesUpdateTraffic(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-apache")
-	full := RunTimed(cfg, s, PrefSpec{Kind: STMS, SampleProb: 1.0})
-	smp := RunTimed(cfg, s, PrefSpec{Kind: STMS, SampleProb: 0.125})
+	full := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS, SampleProb: 1.0})
+	smp := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS, SampleProb: 0.125})
 	fullUpd := full.OverheadTraffic().Update
 	smpUpd := smp.OverheadTraffic().Update
 	if fullUpd <= smpUpd {
@@ -157,7 +184,7 @@ func TestComparatorsRun(t *testing.T) {
 	cfg.MeasureRecords = 15_000
 	s := spec(t, "oltp-db2")
 	for _, kind := range []Kind{TSE, EBCP, ULMT, Markov} {
-		r := RunTimed(cfg, s, PrefSpec{Kind: kind})
+		r := mustRun(t, Timed, cfg, s, PrefSpec{Kind: kind})
 		if r.Records == 0 {
 			t.Fatalf("%v: no records", kind)
 		}
@@ -172,8 +199,8 @@ func TestSingleTableFragmentationLosesCoverage(t *testing.T) {
 	// on a long-stream workload (§4.5, Fig. 6 right).
 	cfg := testConfig()
 	s := spec(t, "sci-em3d")
-	unbounded := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	depth4 := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, MaxDepth: 4})
+	unbounded := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
+	depth4 := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal, MaxDepth: 4})
 	if depth4.Coverage() >= unbounded.Coverage() {
 		t.Fatalf("depth cap did not lose coverage: %.3f vs %.3f",
 			depth4.Coverage(), unbounded.Coverage())
@@ -184,8 +211,8 @@ func TestHistoryCapLimitsCoverage(t *testing.T) {
 	// A tiny history buffer must hurt coverage (Fig. 5 left).
 	cfg := testConfig()
 	s := spec(t, "web-apache")
-	big := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	tiny := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, HistoryEntries: 2048})
+	big := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
+	tiny := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal, HistoryEntries: 2048})
 	if tiny.Coverage() >= big.Coverage()*0.8 {
 		t.Fatalf("tiny history coverage %.3f vs unbounded %.3f",
 			tiny.Coverage(), big.Coverage())
@@ -196,8 +223,8 @@ func TestIndexCapLimitsCoverage(t *testing.T) {
 	// A tiny index must hurt coverage (Fig. 1 left).
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	big := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	tiny := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, IndexEntries: 1024})
+	big := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
+	tiny := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal, IndexEntries: 1024})
 	if tiny.Coverage() >= big.Coverage()*0.8 {
 		t.Fatalf("tiny index coverage %.3f vs unbounded %.3f",
 			tiny.Coverage(), big.Coverage())
@@ -208,8 +235,8 @@ func TestDSSLowCoverage(t *testing.T) {
 	// DSS visits data once: temporal streaming must stay ineffective
 	// (§5.2) while scientific workloads are near-perfect.
 	cfg := testConfig()
-	dss := RunFunctional(cfg, spec(t, "dss-qry17"), PrefSpec{Kind: Ideal})
-	sci := RunFunctional(cfg, spec(t, "sci-moldyn"), PrefSpec{Kind: Ideal})
+	dss := mustRun(t, Functional, cfg, spec(t, "dss-qry17"), PrefSpec{Kind: Ideal})
+	sci := mustRun(t, Functional, cfg, spec(t, "sci-moldyn"), PrefSpec{Kind: Ideal})
 	if dss.Coverage() > 0.35 {
 		t.Fatalf("DSS coverage %.3f unexpectedly high", dss.Coverage())
 	}
@@ -223,7 +250,7 @@ func TestDSSLowCoverage(t *testing.T) {
 
 func TestOverheadBreakdownConsistent(t *testing.T) {
 	cfg := testConfig()
-	r := RunTimed(cfg, spec(t, "oltp-oracle"), PrefSpec{Kind: STMS})
+	r := mustRun(t, Timed, cfg, spec(t, "oltp-oracle"), PrefSpec{Kind: STMS})
 	ov := r.OverheadTraffic()
 	if ov.Record < 0 || ov.Update < 0 || ov.Lookup < 0 || ov.Erroneous < 0 {
 		t.Fatalf("negative overhead: %+v", ov)
@@ -289,7 +316,7 @@ func TestTimedPartialPlusFullMatchesEngine(t *testing.T) {
 	cfg := testConfig()
 	cfg.WarmRecords = 10_000
 	cfg.MeasureRecords = 15_000
-	r := RunTimed(cfg, spec(t, "web-apache"), PrefSpec{Kind: STMS})
+	r := mustRun(t, Timed, cfg, spec(t, "web-apache"), PrefSpec{Kind: STMS})
 	// Engine-window hit counters must equal the sim's covered counters.
 	if r.Engine.FullHits != r.CoveredFull || r.Engine.PartialHits != r.CoveredPartial {
 		t.Fatalf("engine (%d,%d) vs sim (%d,%d)",
@@ -304,8 +331,8 @@ func TestDriversAgreeOnIdealCoverage(t *testing.T) {
 	cfg := testConfig()
 	for _, w := range []string{"web-apache", "sci-moldyn"} {
 		s := spec(t, w)
-		fn := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-		td := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
+		fn := mustRun(t, Functional, cfg, s, PrefSpec{Kind: Ideal})
+		td := mustRun(t, Timed, cfg, s, PrefSpec{Kind: Ideal})
 		diff := fn.Coverage() - td.Coverage()
 		if diff < 0 {
 			diff = -diff
@@ -329,7 +356,7 @@ func TestAltIndexOrgsEndToEnd(t *testing.T) {
 		scfg.Seed = cfg.Seed
 		scfg.SampleProb = 0.125
 		scfg.Org = org
-		r := RunTimed(cfg, s, PrefSpec{Kind: STMS, STMSCfg: &scfg})
+		r := mustRun(t, Timed, cfg, s, PrefSpec{Kind: STMS, STMSCfg: &scfg})
 		coverage[org.String()] = r.Coverage()
 		if r.Coverage() <= 0 {
 			t.Errorf("%v: zero coverage", org)
@@ -341,47 +368,92 @@ func TestAltIndexOrgsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunTimedTraceReplay: replaying a captured trace must drive the full
-// timed system and reproduce the synthetic run's coverage ballpark.
-// TestTapeReplayMatchesLive is the tape contract at the driver level:
-// replaying a materialized tape produces Results bit-identical to live
-// generation, for both drivers, across prefetcher variants sharing one
-// tape, and with a tape budget larger than the run.
+// TestTapeReplayMatchesLive is the source contract at the driver level:
+// for both drivers, a run over live generation (Spec or Scenario), over
+// a materialized Tape of the same identity, and over a Stream of that
+// tape's cursors produces bit-identical Results, across prefetcher
+// variants sharing one tape, and with a tape budget larger than the
+// run. A K=1 RunSampled is the exact timed Run; a Stream source, which
+// cannot be re-derived, is refused by RunSampled and by checkpoint
+// options.
 func TestTapeReplayMatchesLive(t *testing.T) {
 	cfg := testConfig()
 	cfg.WarmRecords = 2_000
 	cfg.MeasureRecords = 4_000
 	perCore := cfg.WarmRecords + cfg.MeasureRecords
+	phaseFlip, err := trace.ScenarioByName("phase-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type workload struct {
+		live Source
+		tape *trace.Tape
+	}
+	var workloads []workload
 	for _, name := range []string{"web-apache", "sci-moldyn"} {
 		ws := spec(t, name)
-		scaled := ws.Scaled(cfg.Scale)
-		tape := trace.NewTape(scaled, cfg.Seed, cfg.Cores, perCore)
+		workloads = append(workloads, workload{Source{Spec: &ws}, trace.NewTape(ws.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)})
+	}
+	workloads = append(workloads, workload{Source{Scenario: &phaseFlip},
+		trace.NewScenarioTape(phaseFlip.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)})
+	stream := func(tape *trace.Tape) Source {
+		run := SourceRun{Spec: tape.Spec(), Marks: tape.Marks(), PerCore: perCore}
+		for i := 0; i < tape.Cores(); i++ {
+			run.Sources = append(run.Sources, trace.AutoFrames(tape.CursorN(i, perCore)))
+		}
+		return Source{Stream: &run}
+	}
+	ctx := context.Background()
+	for _, w := range workloads {
 		for _, ps := range []PrefSpec{{Kind: None}, {Kind: Ideal}, {Kind: STMS, SampleProb: 0.125}} {
-			live := RunTimed(cfg, ws, ps)
-			replay, err := RunTimedTapeCtx(nil, cfg, tape, ps, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(live, replay) {
-				t.Fatalf("%s/%s: timed tape replay differs from live:\n%+v\n%+v",
-					name, ps.Kind, replay, live)
-			}
-			liveF := RunFunctional(cfg, ws, ps)
-			replayF, err := RunFunctionalTapeCtx(nil, cfg, tape, ps, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(liveF, replayF) {
-				t.Fatalf("%s/%s: functional tape replay differs from live", name, ps.Kind)
+			for _, mode := range []Mode{Timed, Functional} {
+				live, err := Run(ctx, RunSpec{Mode: mode, Config: cfg, Source: w.live, Pref: ps}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for label, src := range map[string]Source{"tape": {Tape: w.tape}, "stream": stream(w.tape)} {
+					got, err := Run(ctx, RunSpec{Mode: mode, Config: cfg, Source: src, Pref: ps}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(live, got) {
+						t.Fatalf("%s/%s/%s: %s replay differs from live:\n%+v\n%+v",
+							w.tape.Spec().Name, ps.Kind, mode, label, got, live)
+					}
+				}
+				if mode != Timed {
+					continue
+				}
+				for _, src := range []Source{w.live, {Tape: w.tape}} {
+					sr, err := RunSampled(ctx, RunSpec{Mode: mode, Config: cfg, Source: src, Pref: ps}, Sampling{Windows: 1}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(live, sr.Results) {
+						t.Fatalf("%s/%s: K=1 RunSampled differs from Run", w.tape.Spec().Name, ps.Kind)
+					}
+				}
 			}
 		}
+	}
+
+	w := workloads[0]
+	streamSpec := RunSpec{Mode: Timed, Config: cfg, Source: stream(w.tape), Pref: PrefSpec{Kind: STMS}}
+	if _, err := RunSampled(ctx, streamSpec, Sampling{Windows: 2}, nil); err == nil {
+		t.Fatal("RunSampled accepted a Stream source")
+	}
+	if _, err := RunSampled(ctx, streamSpec, Sampling{Windows: 1}, nil); err == nil {
+		t.Fatal("K=1 RunSampled accepted a Stream source")
+	}
+	if _, err := Run(ctx, streamSpec, nil, WithCheckpointFunc(1000, func([]byte) error { return nil })); err == nil {
+		t.Fatal("a Stream run accepted a checkpoint request")
 	}
 
 	// An oversized tape replays the same run (cursors are capped).
 	ws := spec(t, "oltp-db2")
 	big := trace.NewTape(ws.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore+5_000)
-	live := RunTimed(cfg, ws, PrefSpec{Kind: STMS})
-	replay, err := RunTimedTapeCtx(nil, cfg, big, PrefSpec{Kind: STMS}, nil)
+	live := mustRun(t, Timed, cfg, ws, PrefSpec{Kind: STMS})
+	replay, err := Run(nil, tapeRun(Timed, cfg, big, PrefSpec{Kind: STMS}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,26 +470,28 @@ func TestTapeMismatchRejected(t *testing.T) {
 	scaled := spec(t, "web-zeus").Scaled(cfg.Scale)
 	tape := trace.NewTape(scaled, cfg.Seed, cfg.Cores, 1_000)
 
-	if _, err := RunTimedTapeCtx(nil, cfg, nil, PrefSpec{}, nil); err == nil {
+	if _, err := Run(nil, tapeRun(Timed, cfg, nil, PrefSpec{}), nil); err == nil {
 		t.Fatal("nil tape accepted")
 	}
 	bad := cfg
 	bad.Seed++
-	if _, err := RunTimedTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := Run(nil, tapeRun(Timed, bad, tape, PrefSpec{}), nil); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
 	bad = cfg
 	bad.Cores++
-	if _, err := RunTimedTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := Run(nil, tapeRun(Timed, bad, tape, PrefSpec{}), nil); err == nil {
 		t.Fatal("core-count mismatch accepted")
 	}
 	bad = cfg
 	bad.MeasureRecords += 1_000
-	if _, err := RunFunctionalTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := Run(nil, tapeRun(Functional, bad, tape, PrefSpec{}), nil); err == nil {
 		t.Fatal("undersized tape accepted")
 	}
 }
 
+// TestRunTimedTraceReplay: replaying a captured trace must drive the full
+// timed system and reproduce the synthetic run's coverage ballpark.
 func TestRunTimedTraceReplay(t *testing.T) {
 	cfg := testConfig()
 	cfg.WarmRecords = 10_000
@@ -439,13 +513,16 @@ func TestRunTimedTraceReplay(t *testing.T) {
 		gens[c].Next(&rec)
 		perCore[c] = append(perCore[c], rec)
 	}
-	replay := make([]trace.Generator, cfg.Cores)
-	for i := range replay {
-		replay[i] = &trace.SliceGenerator{Records: perCore[i]}
+	replay := SourceRun{Spec: trace.Spec{Name: "replay", DirtyFrac: scaled.DirtyFrac}}
+	for i := range perCore {
+		replay.Sources = append(replay.Sources, trace.AutoFrames(&trace.SliceGenerator{Records: perCore[i]}))
 	}
 	// Scale must not be re-applied to already-scaled captured traces:
-	// RunTimedTrace takes the records as-is.
-	r := RunTimedTrace(cfg, "replay", replay, scaled.DirtyFrac, PrefSpec{Kind: STMS})
+	// a Stream source takes the records as-is.
+	r, err := Run(context.Background(), streamRun(Timed, cfg, replay, PrefSpec{Kind: STMS}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Records == 0 {
 		t.Fatal("replay processed no records")
 	}
@@ -457,12 +534,13 @@ func TestRunTimedTraceReplay(t *testing.T) {
 	}
 }
 
-func TestRunTimedTraceWrongGenCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for generator/core mismatch")
-		}
-	}()
+// TestRunTimedTraceWrongGenCountErrors: a stream with one source per
+// core is the only shape a run accepts; any other count is an error.
+func TestRunTimedTraceWrongGenCountErrors(t *testing.T) {
 	cfg := testConfig()
-	RunTimedTrace(cfg, "bad", []trace.Generator{&trace.SliceGenerator{}}, 0.2, PrefSpec{Kind: None})
+	bad := SourceRun{Spec: trace.Spec{Name: "bad", DirtyFrac: 0.2},
+		Sources: []trace.FrameSource{trace.Frames(&trace.SliceGenerator{})}}
+	if _, err := Run(context.Background(), streamRun(Timed, cfg, bad, PrefSpec{Kind: None}), nil); err == nil {
+		t.Fatal("a stream with 1 source accepted for a 4-core run")
+	}
 }

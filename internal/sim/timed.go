@@ -236,162 +236,16 @@ func (e timedEnv) OnChip(core int, blk uint64) bool {
 	return e.s.l1[core].Probe(blk) || e.s.l2.Probe(blk) || e.s.l2mshr.InFlight(blk)
 }
 
-// RunTimed executes one timed simulation of the workload under the given
-// prefetcher variant and returns windowed results.
-func RunTimed(cfg Config, spec trace.Spec, ps PrefSpec) Results {
-	r, err := RunTimedCtx(context.Background(), cfg, spec, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunTimedCtx is RunTimed with cooperative cancellation and an optional
-// progress hook. The context is polled every few thousand records; on
-// cancellation the simulation stops promptly and ctx.Err() is returned.
-// Configuration errors are returned rather than panicking.
-//
-// This is the live-generation path: records are produced by the
-// workload generators inside the simulation loop. Per-core generation
-// is a pure function of (spec, seed, core), so the results are
-// bit-identical to replaying a trace.Tape of the same identity through
-// RunTimedTapeCtx — which is cheaper when the trace is consumed more
-// than once (the lab's run matrix does exactly that).
-func RunTimedCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	lib := trace.NewLibrary(scaled, cfg.Seed)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: total}
-	}
-	src := ckptSrc{kind: "spec", spec: spec}
-	return runTimed(ctx, cfg, scaled, gens, nil, nil, ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
-// RunTimedScenarioCtx executes the timed simulation of a
-// phase-structured scenario. The scenario is scaled by cfg.Scale and
-// materialized against the run's per-core budget (warm + measure);
-// Results carry per-phase stat windows alongside the usual whole-run
-// numbers. Like plain workloads, scenario generation is a pure function
-// of (scenario, seed, core): results are bit-identical to replaying a
-// scenario tape of the same identity through RunTimedTapeCtx.
-func RunTimedScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens, marks, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-	if err != nil {
-		return Results{}, err
-	}
-	for i, g := range gens {
-		gens[i] = &trace.Limit{Gen: g, N: total}
-	}
-	spec := scaled.EffectiveSpec(cfg.Cores, total)
-	src := ckptSrc{kind: "scenario", scn: scn}
-	return runTimed(ctx, cfg, spec, gens, nil, marks, ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
-// RunTimedTapeCtx executes the timed simulation over a materialized
-// columnar tape instead of live generators. The tape must have been
-// built for this configuration's trace identity — same scaled spec,
-// seed, core count, and a per-core budget covering warm + measure —
-// and then Results are bit-identical to RunTimedCtx at the same seed.
-func RunTimedTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, total); err != nil {
-		return Results{}, err
-	}
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = tape.CursorN(i, total)
-	}
-	src := ckptSrc{kind: "tape"}
-	return runTimed(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
-// tapeFits verifies a tape covers the run a config describes. Scenario
-// tapes must match the run budget exactly: fraction-based phases
-// resolve against the materialization budget, so replaying a longer
-// scenario tape for a shorter run would shift every phase boundary
-// relative to live generation.
-func tapeFits(cfg Config, tape *trace.Tape, perCore uint64) error {
-	switch {
-	case tape == nil:
-		return fmt.Errorf("sim: nil tape")
-	case tape.Cores() != cfg.Cores:
-		return fmt.Errorf("sim: tape holds %d cores, config needs %d", tape.Cores(), cfg.Cores)
-	case tape.Seed() != cfg.Seed:
-		return fmt.Errorf("sim: tape seed %d, config seed %d", tape.Seed(), cfg.Seed)
-	case tape.PerCore() < perCore:
-		return fmt.Errorf("sim: tape budget %d records/core, run needs %d", tape.PerCore(), perCore)
-	case tape.Scenario() != nil && tape.PerCore() != perCore:
-		return fmt.Errorf("sim: scenario tape materialized for %d records/core, run needs exactly %d",
-			tape.PerCore(), perCore)
-	}
-	return nil
-}
-
-// RunTimedTrace executes the timed simulation over externally supplied
-// record generators, one per core — typically trace.FileReader streams
-// from files captured with stms-trace or converted from an application's
-// own miss trace. The name labels results; dirtyFrac sets the writeback
-// model.
-func RunTimedTrace(cfg Config, name string, gens []trace.Generator, dirtyFrac float64, ps PrefSpec) Results {
-	r, err := RunTimedTraceCtx(context.Background(), cfg, name, gens, dirtyFrac, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunTimedTraceCtx is RunTimedTrace with cooperative cancellation and an
-// optional progress hook (total is unknown for external generators, so
-// progress callbacks report total = 0).
-func RunTimedTraceCtx(ctx context.Context, cfg Config, name string, gens []trace.Generator, dirtyFrac float64, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if len(gens) != cfg.Cores {
-		return Results{}, fmt.Errorf("sim: %d generators for %d cores", len(gens), cfg.Cores)
-	}
-	spec := trace.Spec{Name: name, DirtyFrac: dirtyFrac}
-	src := ckptSrc{kind: "external"}
-	return runTimed(ctx, cfg, spec, gens, nil, nil, ps, progress, 0, src, opts)
-}
-
-// RunTimedSourcesCtx executes the timed simulation over externally
-// produced frame sources — a stream.Inlet's per-core sources, most
-// commonly — carrying the trace identity their producer announced.
-// With a matching configuration (same seed, cores, and a warm+measure
-// budget equal to the stream's per-core record count), Results are
-// bit-identical to consuming the same trace locally. Sources that die
-// mid-stream fail the run with their error; like other external runs,
-// these are not checkpointable.
-func RunTimedSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if err := run.validate(cfg); err != nil {
-		return Results{}, err
-	}
-	src := ckptSrc{kind: "external"}
-	return runTimed(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, ps, progress, run.PerCore*uint64(cfg.Cores), src, opts)
-}
-
-// runTimed wires and drains the event-driven system over the given
-// per-core generators — or, when srcs is non-nil, over pre-built frame
-// sources (remote streams); marks, when non-nil, request per-phase stat
+// runTimed wires and drains the event-driven system over the per-core
+// frame sources, closing them on every exit path (an aborted run must
+// not leak producers); marks, when non-nil, request per-phase stat
 // windows in the Results.
-func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Generator, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, totalRecs uint64, src ckptSrc, opts []RunOption) (Results, error) {
+func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, totalRecs uint64, src ckptSrc, opts []RunOption) (Results, error) {
+	defer func() {
+		for _, fs := range srcs {
+			fs.Close()
+		}
+	}()
 	if ctx == nil {
 		ctx = context.Background() // documented: nil = never cancelled
 	}
@@ -418,22 +272,8 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Gen
 	s.pref = buildPrefetcher(timedEnv{s}, cfg, ps)
 
 	s.committedSnap = make([]uint64, cfg.Cores)
-	// Each core consumes its trace frame-at-a-time from a pipelined
-	// source: a producer goroutine decodes (or generates) the next frame
-	// while the simulation works through the current one. Sources are
-	// closed on every exit path — an aborted run must not leak producers.
-	s.srcs = make([]trace.FrameSource, cfg.Cores)
-	defer func() {
-		for _, src := range s.srcs {
-			src.Close()
-		}
-	}()
+	s.srcs = srcs
 	for i := 0; i < cfg.Cores; i++ {
-		if srcs != nil {
-			s.srcs[i] = srcs[i]
-		} else {
-			s.srcs[i] = trace.AutoFrames(gens[i])
-		}
 		s.l1 = append(s.l1, cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1(), Assoc: cfg.L1Assoc}))
 		c := cpu.NewFramed(i, cfg.Core, s.eng, s.srcs[i], s.load)
 		s.cores = append(s.cores, c)
@@ -453,7 +293,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Gen
 		if err != nil {
 			return Results{}, err
 		}
-		if err := checkDesc(d, "timed", src, cfg, ps); err != nil {
+		if err := checkDesc(d, "timed", src, cfg, ps, spec); err != nil {
 			return Results{}, err
 		}
 		if err := s.restore(dec); err != nil {

@@ -53,7 +53,7 @@ func TapeSource(t *trace.Tape) Source {
 
 // SpecSource serves perCore live-generated records per core of the
 // (already scaled) spec at seed — the stream equivalent of
-// sim.RunTimedCtx's generator wiring.
+// a Spec-backed sim.Run's generator wiring.
 func SpecSource(spec trace.Spec, seed uint64, cores int, perCore uint64) (Source, error) {
 	if err := spec.Validate(); err != nil {
 		return Source{}, err
@@ -393,6 +393,27 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 		return err
 	}
 	for {
+		// End and abort spend no credit: a consumer that takes exactly
+		// the frames it needs and closes never grants another, so the
+		// stream's end must not wait on one. The walker runs one frame
+		// ahead of the credit instead; the ring holds that frame for a
+		// resume if the connection drops first.
+		msg := nextMsg()
+		if msg == nil {
+			if o.w.err != nil {
+				ctrl = appendAbortMsg(ctrl[:0], o.w.err.Error())
+				_ = write(ctrl)
+				return true, fmt.Errorf("%w: %v", ErrAborted, o.w.err)
+			}
+			ctrl = appendCtrlMsg(ctrl[:0], msgEnd, 0)
+			if err := write(ctrl); err != nil {
+				return false, err
+			}
+			// Linger until the peer closes so the tail flushes; the
+			// reader's deadline bounds the wait.
+			<-readerDone
+			return true, nil
+		}
 		credit += granted.Swap(0)
 		for credit == 0 {
 			select {
@@ -411,22 +432,6 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 		case <-readerDone:
 			return false, readerErr
 		default:
-		}
-		msg := nextMsg()
-		if msg == nil {
-			if o.w.err != nil {
-				ctrl = appendAbortMsg(ctrl[:0], o.w.err.Error())
-				_ = write(ctrl)
-				return true, fmt.Errorf("%w: %v", ErrAborted, o.w.err)
-			}
-			ctrl = appendCtrlMsg(ctrl[:0], msgEnd, 0)
-			if err := write(ctrl); err != nil {
-				return false, err
-			}
-			// Linger until the peer closes so the tail flushes; the
-			// reader's deadline bounds the wait.
-			<-readerDone
-			return true, nil
 		}
 		if err := write(msg); err != nil {
 			return false, err

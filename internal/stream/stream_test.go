@@ -61,7 +61,7 @@ func runStream(t *testing.T, addr string, cfg sim.Config, tape *trace.Tape) (sim
 	t.Cleanup(in.Close)
 	h := in.Hello()
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	res, err := sim.RunTimedSourcesCtx(context.Background(), cfg, run, sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}, nil)
+	res, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Stream: &run}, Pref: sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLoopbackBitIdentical(t *testing.T) {
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
 
-	direct, err := sim.RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Tape: tape}, Pref: ps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReconnectSweepBitIdentical(t *testing.T) {
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
 
-	direct, err := sim.RunFunctionalTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Functional, Config: cfg, Source: sim.Source{Tape: tape}, Pref: ps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReconnectSweepBitIdentical(t *testing.T) {
 			defer in.Close()
 			h := in.Hello()
 			run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-			streamed, err := sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
+			streamed, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Functional, Config: cfg, Source: sim.Source{Stream: &run}, Pref: ps}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func TestOutletRestartResume(t *testing.T) {
 	tape := testTape(t, cores, perCore)
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
-	direct, err := sim.RunFunctionalTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Functional, Config: cfg, Source: sim.Source{Tape: tape}, Pref: ps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestOutletRestartResume(t *testing.T) {
 
 	h := in.Hello()
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	streamed, err := sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
+	streamed, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Functional, Config: cfg, Source: sim.Source{Stream: &run}, Pref: ps}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

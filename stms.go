@@ -325,10 +325,10 @@ func Drift(name string, from, to WorkloadSpec, steps int) Scenario {
 // Tape is a columnar (structure-of-arrays) materialization of one
 // bounded multi-core trace: built once per trace identity, replayed any
 // number of times through zero-allocation cursors. Lab sessions
-// materialize and share tapes automatically; NewTape and the tape run
-// functions expose the substrate for callers orchestrating their own
-// runs or persisting tapes with trace.WriteTape/ReadTape via the
-// stms-trace command.
+// materialize and share tapes automatically; NewTape and Source.Tape
+// expose the substrate for callers orchestrating their own runs or
+// persisting tapes with trace.WriteTape/ReadTape via the stms-trace
+// command.
 type Tape = trace.Tape
 
 // NewTape materializes perCore records for each of cores generators of
@@ -416,65 +416,17 @@ func FigureEight() []string { return trace.FigureEight() }
 // Commercial returns the commercial (web, OLTP, DSS) workload names.
 func Commercial() []string { return trace.Commercial() }
 
-// RunTimed executes the cycle-level simulation of spec under the given
-// prefetcher and returns measurement-window results (IPC, MLP, coverage,
-// per-class DRAM traffic).
-//
-// Deprecated: build a Lab with New and execute a plan with Lab.Run —
-// one blocking call per cell neither parallelizes nor memoizes. This
-// wrapper remains for scripts and is equivalent to a 1×1 timed matrix.
-func RunTimed(cfg Config, spec WorkloadSpec, ps PrefSpec) Results {
-	return sim.RunTimed(cfg, spec, ps)
-}
+// RunSpec describes one simulation: the driver Mode (Timed or
+// Functional), the system Config, the trace Source and the prefetcher
+// variant.
+type RunSpec = sim.RunSpec
 
-// RunFunctional executes the fast zero-latency driver (idealized-lookup
-// coverage sweeps; timing fields of the result are zero).
-//
-// Deprecated: build a Lab with New and execute a plan with
-// lab.Plan(..., stms.InMode(stms.Functional)) instead.
-func RunFunctional(cfg Config, spec WorkloadSpec, ps PrefSpec) Results {
-	return sim.RunFunctional(cfg, spec, ps)
-}
-
-// RunTimedCtx is RunTimed with cooperative cancellation; Lab.Run uses
-// it per cell. Exposed for callers driving single runs with their own
-// scheduling.
-func RunTimedCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec) (Results, error) {
-	return sim.RunTimedCtx(ctx, cfg, spec, ps, nil)
-}
-
-// RunFunctionalCtx is RunFunctional with cooperative cancellation.
-func RunFunctionalCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalCtx(ctx, cfg, spec, ps, nil)
-}
-
-// RunTimedTapeCtx executes the timed simulation over a materialized
-// tape whose identity matches cfg (same seed, cores, and a record
-// budget covering warm + measure); Results are bit-identical to
-// RunTimedCtx with the tape's spec.
-func RunTimedTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec) (Results, error) {
-	return sim.RunTimedTapeCtx(ctx, cfg, tape, ps, nil)
-}
-
-// RunFunctionalTapeCtx is RunFunctionalCtx over a materialized tape.
-func RunFunctionalTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalTapeCtx(ctx, cfg, tape, ps, nil)
-}
-
-// RunTimedScenarioCtx executes the timed simulation of a
-// phase-structured scenario (scaled by cfg.Scale, materialized against
-// the warm + measure budget); Results carry per-phase windows. Prefer
-// Lab plans with scenario rows — they parallelize, memoize, and share
-// scenario tapes.
-func RunTimedScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec) (Results, error) {
-	return sim.RunTimedScenarioCtx(ctx, cfg, scn, ps, nil)
-}
-
-// RunFunctionalScenarioCtx is RunTimedScenarioCtx on the zero-latency
-// functional driver (timing fields stay zero).
-func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalScenarioCtx(ctx, cfg, scn, ps, nil)
-}
+// Source names the trace a run consumes; exactly one field is set: a
+// full-scale Spec or Scenario (Config.Scale applies), a materialized
+// Tape of the run's trace identity, or a Stream of externally supplied
+// frame sources. Results are bit-identical across the four for the
+// same record stream.
+type Source = sim.Source
 
 // SourceRun bundles externally supplied per-core frame sources — a live
 // STMSWIRE stream, an imported trace, anything implementing
@@ -483,17 +435,19 @@ func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps 
 // run when the sources deliver the same record stream.
 type SourceRun = sim.SourceRun
 
-// RunTimedSourcesCtx executes the timed simulation over a SourceRun. A
-// source whose producer dies mid-run surfaces that failure as an error,
-// never as a short clean result.
-func RunTimedSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec) (Results, error) {
-	return sim.RunTimedSourcesCtx(ctx, cfg, run, ps, nil)
-}
+// Progress receives periodic (done, total) record counts from a
+// running simulation; total is 0 when the run length is unknown.
+type Progress = sim.Progress
 
-// RunFunctionalSourcesCtx is RunTimedSourcesCtx on the zero-latency
-// functional driver (timing fields stay zero).
-func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalSourcesCtx(ctx, cfg, run, ps, nil)
+// Run executes one simulation and returns its measurement-window
+// Results: IPC, MLP, coverage and per-class DRAM traffic (timing fields
+// stay zero in Functional mode), plus per-phase windows for scenario
+// sources. Cancelling ctx stops the run promptly with ctx.Err(); a
+// source whose producer dies mid-run is an error, never a short clean
+// result. Prefer Lab plans for matrices — they parallelize, memoize and
+// share tapes.
+func Run(ctx context.Context, spec RunSpec, progress Progress) (Results, error) {
+	return sim.Run(ctx, spec, progress)
 }
 
 // Sampling configures a K-window sampled simulation (DESIGN.md §13):
@@ -524,47 +478,13 @@ type CI = stats.CI
 // exact counterparts and carry SampledResults with error bars.
 func WithSampling(smp Sampling) Option { return lab.WithSampling(smp) }
 
-// RunSampled executes the K-window sampled estimate of the timed
-// simulation, panicking on configuration errors (prefer RunSampledCtx).
-func RunSampled(cfg Config, spec WorkloadSpec, ps PrefSpec, smp Sampling) SampledResults {
-	return sim.RunSampled(cfg, spec, ps, smp)
-}
-
-// RunSampledCtx executes the K-window sampled estimate of
-// RunTimedCtx: the windows warm and measure concurrently, and the
-// result carries per-window stats and confidence intervals. K <= 1
-// returns the exact serial run (Exact = true, point intervals).
-func RunSampledCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledCtx(ctx, cfg, spec, ps, smp, nil)
-}
-
-// RunSampledScenarioCtx is RunSampledCtx for a phase-structured
-// scenario (the stitched Results carry no per-phase windows — sampling
-// estimates whole-run metrics).
-func RunSampledScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledScenarioCtx(ctx, cfg, scn, ps, smp, nil)
-}
-
-// RunSampledTapeCtx is RunSampledCtx over a materialized tape;
-// estimates are bit-identical to the spec run of the same identity.
-func RunSampledTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledTapeCtx(ctx, cfg, tape, ps, smp, nil)
-}
-
-// ResumeSampledCtx resumes a sampled run from a checkpoint taken by one
-// of its windows (sim.WithCheckpointFunc): finished windows replay
-// from the checkpoint manifest, the interrupted window resumes
-// mid-stream, and the stitched estimate is bit-identical to an
-// uninterrupted run.
-func ResumeSampledCtx(ctx context.Context, data []byte) (SampledResults, error) {
-	return sim.ResumeSampledCtx(ctx, data, nil)
-}
-
-// PeekSampled inspects a sampled checkpoint without resuming it:
-// the sampling plan, the underlying run's identity, and the index of
-// the checkpointed window.
-func PeekSampled(data []byte) (Sampling, sim.CheckpointDesc, int, error) {
-	return sim.PeekSampled(data)
+// RunSampled executes the K-window sampled estimate of a timed Run:
+// the windows warm and measure concurrently, and the result carries
+// per-window stats and confidence intervals (scenario sources carry no
+// per-phase windows). K <= 1 returns the exact serial run (Exact =
+// true, point intervals). Stream sources cannot be sampled.
+func RunSampled(ctx context.Context, spec RunSpec, smp Sampling, progress Progress) (SampledResults, error) {
+	return sim.RunSampled(ctx, spec, smp, progress)
 }
 
 // DefaultOptions returns the standard experiment scale for the harness.

@@ -217,9 +217,12 @@ func TestMatrixMatchesSequential(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want := stms.RunTimed(cfg, spec, prefs[col])
+			want, err := stms.Run(context.Background(), stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Spec: &spec}, Pref: prefs[col]}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("cell %s/%s differs from sequential RunTimed", w, m.Labels[col])
+				t.Fatalf("cell %s/%s differs from a sequential Run", w, m.Labels[col])
 			}
 		}
 	}
@@ -367,7 +370,7 @@ func TestScenarioSuiteMatrix(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want, err := stms.RunTimedScenarioCtx(context.Background(), cfg, scn, prefs[col])
+			want, err := stms.Run(context.Background(), stms.RunSpec{Mode: stms.Timed, Config: cfg, Source: stms.Source{Scenario: &scn}, Pref: prefs[col]}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
