@@ -61,7 +61,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := (job.Config.WarmRecords + job.Config.MeasureRecords) * uint64(job.Config.Cores)
+	total := (job.Run.Config.WarmRecords + job.Run.Config.MeasureRecords) * uint64(job.Run.Config.Cores)
 	if d.Records == 0 || d.Records >= total {
 		t.Fatalf("checkpoint at %d of %d records, want a mid-run snapshot", d.Records, total)
 	}
@@ -83,7 +83,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if !resB.Resumed {
 		t.Fatal("worker with a pushed checkpoint did not resume")
 	}
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 	// A job big enough to still be running when the drain lands; the
 	// first progress event proves it is mid-run.
 	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	job.Config.WarmRecords = 20_000
-	job.Config.MeasureRecords = 200_000
+	job.Run.Config.WarmRecords = 20_000
+	job.Run.Config.MeasureRecords = 200_000
 
 	var once sync.Once
 	var kinds []string
@@ -156,7 +156,7 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	store := NewStore(1<<30, "")
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	// A checkpoint from a different prefetcher spec must not restore
 	// into this job — mismatch means a cold run with exact results.
 	other := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	wantOther, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: other.Config, Source: sim.Source{Spec: other.Spec}, Pref: other.Pref}, nil)
+	wantOther, err := sim.Run(context.Background(), other.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +288,40 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	}
 	if !resumed || !reflect.DeepEqual(res, want) {
 		t.Fatalf("genuine resume: resumed %v, identical %v", resumed, reflect.DeepEqual(res, want))
+	}
+}
+
+// TestExecuteJobResumeAcrossSubstrates: a checkpoint names its job by
+// run identity, not trace substrate, so one written by a store-backed
+// execution (tape source) resumes in a storeless one (live generation)
+// into the identical result.
+func TestExecuteJobResumeAcrossSubstrates(t *testing.T) {
+	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
+	want, err := sim.Run(context.Background(), job.Run, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap []byte
+	_, from, _, err := ExecuteJob(context.Background(), job, NewStore(1<<30, ""), nil, nil, &ExecOptions{
+		Every: 1500,
+		Sink:  func(data []byte) error { snap = append([]byte(nil), data...); return nil },
+		Stop:  make(chan struct{}),
+	})
+	if err != nil || snap == nil || from != TapeBuilt {
+		t.Fatalf("checkpointing run: err %v, snapshot %v, tape %q", err, snap != nil, from)
+	}
+	d, err := sim.PeekCheckpoint(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Source != "tape" {
+		t.Fatalf("checkpoint source %q, want a tape-backed checkpoint", d.Source)
+	}
+	res, from, resumed, err := ExecuteJob(context.Background(), job, nil, nil, nil, &ExecOptions{Resume: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed || from != TapeLive || !reflect.DeepEqual(res, want) {
+		t.Fatalf("storeless resume: resumed %v, tape %q, identical %v", resumed, from, reflect.DeepEqual(res, want))
 	}
 }

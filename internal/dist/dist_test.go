@@ -26,12 +26,9 @@ func testJob(t *testing.T, workload string, pref sim.PrefSpec) *Job {
 	cfg.MeasureRecords = 1_000
 	return &Job{
 		Version:  JobFormatVersion,
-		Mode:     "timed",
 		Workload: workload,
 		Variant:  "test",
-		Spec:     &spec,
-		Config:   cfg,
-		Pref:     pref,
+		Run:      sim.RunSpec{Mode: sim.Timed, Config: cfg, Source: sim.Source{Spec: &spec}, Pref: pref},
 	}
 }
 
@@ -41,24 +38,40 @@ func TestJobValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *good
-	bad.Version = 2
+	bad.Version = 3
 	if err := bad.Validate(); err == nil {
 		t.Error("wrong version accepted")
 	}
 	bad = *good
-	bad.Mode = "cycle-accurate"
+	bad.Run.Mode = sim.Mode(7)
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown mode accepted")
 	}
 	bad = *good
-	bad.Spec = nil
+	bad.Run.Source.Spec = nil
 	if err := bad.Validate(); err == nil {
 		t.Error("job with no workload accepted")
 	}
 	bad = *good
-	bad.Scenario = json.RawMessage(`{}`)
+	scn := trace.Stationary("s", *good.Run.Source.Spec)
+	bad.Run.Source.Scenario = &scn
 	if err := bad.Validate(); err == nil {
 		t.Error("job with both spec and scenario accepted")
+	}
+	bad = *good
+	bad.Run.Source = sim.Source{Tape: trace.NewTape(*good.Run.Source.Spec, 1, 1, 10)}
+	if err := bad.Validate(); err == nil {
+		t.Error("job over a tape accepted")
+	}
+
+	// A version 1 job document (mode, spec, config and pref at top
+	// level) decodes, and is rejected by the version check.
+	var v1 Job
+	if err := json.Unmarshal([]byte(`{"stms_job":1,"mode":"timed","workload":"w","variant":"v","spec":{},"config":{},"pref":{}}`), &v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := v1.Validate(); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1 job: %v, want a version rejection", err)
 	}
 }
 
@@ -68,7 +81,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"stms_job":1`) {
+	if !strings.Contains(string(b), `"stms_job":2`) || !strings.Contains(string(b), `"run":{"mode":"timed"`) {
 		t.Fatalf("job document not versioned: %s", b)
 	}
 	var back Job
@@ -78,16 +91,51 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(job, &back) {
 		t.Fatalf("job not identical after round trip:\n got %+v\nwant %+v", back, job)
 	}
-	k1, err := job.TapeKey()
+	k1, err := job.CkptKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := back.TapeKey()
+	k2, err := back.CkptKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k1 != k2 {
-		t.Fatalf("tape address changed across the wire: %s vs %s", k1, k2)
+		t.Fatalf("run key changed across the wire: %s vs %s", k1, k2)
+	}
+
+	// A scenario run travels as its own versioned document and keeps
+	// its key; a tape run cannot travel without its records.
+	spec := *job.Run.Source.Spec
+	scn := trace.Sequence("two", trace.Phase{Records: 100, Spec: spec}, trace.Phase{Spec: spec, Reseed: 1})
+	sjob := *job
+	sjob.Run.Source = sim.Source{Scenario: &scn}
+	b, err = json.Marshal(&sjob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sback Job
+	if err := json.Unmarshal(b, &sback); err != nil {
+		t.Fatal(err)
+	}
+	k1, _ = sjob.CkptKey()
+	if k2, err = sback.CkptKey(); err != nil || k1 != k2 {
+		t.Fatalf("scenario run key changed across the wire (%v): %s vs %s", err, k1, k2)
+	}
+	tjob := *job
+	tjob.Run.Source = sim.Source{Tape: trace.NewTape(spec, 1, 1, 10)}
+	if _, err := json.Marshal(&tjob); err == nil {
+		t.Fatal("a tape run encoded without its records")
+	}
+	for _, run := range []string{
+		`{"mode":"timed","config":{},"pref":{},"tape":"00"}`,
+		`{"mode":"cycle","config":{},"pref":{},"spec":{}}`,
+		`{"mode":"timed","config":{},"pref":{}}`,
+		`{"mode":"timed","config":{},"pref":{},"spec":{},"scenario":{"stms_scenario":1,"name":"s","phases":[{}]}}`,
+		`{"mode":"timed","config":{},"pref":{},"scenario":{"stms_scenario":9,"name":"s","phases":[{}]}}`,
+	} {
+		if err := json.Unmarshal([]byte(`{"stms_job":2,"run":`+run+`}`), &sback); err == nil {
+			t.Errorf("malformed run %s decoded", run)
+		}
 	}
 }
 
@@ -122,7 +170,7 @@ func TestServerRunJobMatchesDirectSim(t *testing.T) {
 
 	// The remote result is bit-identical to running the same cell
 	// through the sim entry points directly.
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +202,13 @@ func TestServerScenarioJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	scn := trace.Stationary("station", spec)
-	scnJSON, err := json.Marshal(scn)
-	if err != nil {
-		t.Fatal(err)
-	}
 	job := testJob(t, "web-apache", sim.PrefSpec{Kind: sim.Ideal})
-	job.Spec = nil
-	job.Scenario = scnJSON
+	job.Run.Source = sim.Source{Scenario: &scn}
 	res, err := c.RunJob(context.Background(), job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Scenario: &scn}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +224,7 @@ func TestServerJobFailureIsNotTransport(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	job.Config.Cores = -4 // deterministic config failure
+	job.Run.Config.Cores = -4 // deterministic config failure
 	_, err := c.RunJob(context.Background(), job, nil)
 	if err == nil {
 		t.Fatal("broken config succeeded")
@@ -190,9 +233,10 @@ func TestServerJobFailureIsNotTransport(t *testing.T) {
 		t.Fatalf("deterministic job failure classified as transport: %v", err)
 	}
 
-	// A structurally invalid job is rejected with 400, also non-transport.
+	// A structurally invalid job — here one stamped with the retired
+	// version 1 — is rejected with 400, also non-transport.
 	bad := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	bad.Mode = "warp"
+	bad.Version = 1
 	_, err = c.RunJob(context.Background(), bad, nil)
 	if err == nil || IsTransport(err) {
 		t.Fatalf("protocol rejection should be a plain error, got %v", err)
@@ -245,7 +289,7 @@ func TestServerTapeExchange(t *testing.T) {
 
 	// Manual tape movement: fetch from A, push to a third store-backed
 	// worker, and watch it serve the job without building.
-	key, err := job.TapeKey()
+	key, _, err := job.Run.TapeRecipe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +343,7 @@ func TestServerUnknownIDSuggestions(t *testing.T) {
 	}
 
 	// GET /tapes/{near-miss} names the nearest resident address.
-	key, err := job.TapeKey()
+	key, _, err := job.Run.TapeRecipe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +374,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 	if res.TapeSource != TapeLive {
 		t.Fatalf("storeless worker tape source = %q, want live", res.TapeSource)
 	}
-	want, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	want, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +385,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 
 func TestResultJSONRoundTrip(t *testing.T) {
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	res, err := sim.Run(context.Background(), sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: sim.Source{Spec: job.Spec}, Pref: job.Pref}, nil)
+	res, err := sim.Run(context.Background(), job.Run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (o *ExecOptions) active(job *Job) bool {
 	if o == nil || o.Sink == nil || (o.Every == 0 && o.Stop == nil) {
 		return false
 	}
-	return sim.CheckpointablePref(job.Pref)
+	return sim.CheckpointablePref(job.Run.Pref)
 }
 
 // runOptions assembles the sim run options for this execution.
@@ -73,14 +73,7 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 	if err := job.Validate(); err != nil {
 		return sim.Results{}, TapeLive, false, err
 	}
-	src, err := job.source()
-	if err != nil {
-		return sim.Results{}, TapeLive, false, err
-	}
-	rs := sim.RunSpec{Mode: sim.Timed, Config: job.Config, Source: src, Pref: job.Pref}
-	if job.Mode == "functional" {
-		rs.Mode = sim.Functional
-	}
+	rs := job.Run
 
 	var from TapeSource = TapeLive
 	if store != nil {
@@ -90,7 +83,10 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 		if err := rs.Config.Validate(); err != nil {
 			return sim.Results{}, TapeLive, false, err
 		}
-		key, build := TapeRecipe(src, rs.Config)
+		key, build, err := rs.TapeRecipe()
+		if err != nil {
+			return sim.Results{}, TapeLive, false, err
+		}
 		var fetchKey func(context.Context) (*trace.Tape, error)
 		if fetch != nil {
 			fetchKey = func(ctx context.Context) (*trace.Tape, error) { return fetch(ctx, key) }
@@ -103,7 +99,7 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 	}
 
 	base := exec.runOptions(job)
-	if exec != nil && len(exec.Resume) > 0 && sim.CheckpointablePref(job.Pref) {
+	if exec != nil && len(exec.Resume) > 0 && sim.CheckpointablePref(rs.Pref) {
 		res, err := sim.Run(ctx, rs, progress, append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume))...)
 		switch {
 		case err == nil:

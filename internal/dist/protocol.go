@@ -28,158 +28,58 @@
 package dist
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"stms/internal/sim"
-	"stms/internal/trace"
 )
 
 // Protocol format versions, stamped into and validated out of every
 // top-level JSON document, in the same style as scenario files
-// ({"stms_scenario":1,...}) and STMSTAPE headers.
+// ({"stms_scenario":1,...}) and STMSTAPE headers. Job version 2 carries
+// the run as one sim.RunSpec document; workers reject version 1 jobs.
 const (
-	JobFormatVersion    = 1
+	JobFormatVersion    = 2
 	EventFormatVersion  = 1
 	ResultFormatVersion = 1
 	HealthFormatVersion = 1
 )
 
 // Job is one cell of work: everything that determines a simulation's
-// result, in versioned JSON. Exactly one of Spec and Scenario is set;
-// Spec is full-scale (Config.Scale applies at run, exactly as in an
-// in-process lab cell) and Scenario holds the scenario's own versioned
-// JSON document.
+// result, in versioned JSON. Run is the cell's simulation in sim's
+// canonical RunSpec encoding — its source a full-scale Spec
+// (Config.Scale applies at run, exactly as in an in-process lab cell)
+// or a Scenario; Workload and Variant only label it.
 type Job struct {
-	Version  int             `json:"stms_job"`
-	Mode     string          `json:"mode"` // "timed" | "functional"
-	Workload string          `json:"workload"`
-	Variant  string          `json:"variant"`
-	Spec     *trace.Spec     `json:"spec,omitempty"`
-	Scenario json.RawMessage `json:"scenario,omitempty"`
-	Config   sim.Config      `json:"config"`
-	Pref     sim.PrefSpec    `json:"pref"`
+	Version  int         `json:"stms_job"`
+	Workload string      `json:"workload"`
+	Variant  string      `json:"variant"`
+	Run      sim.RunSpec `json:"run"`
 }
 
 // Validate reports structural protocol errors (the simulation-level
 // validation of config and spec happens when the job executes).
 func (j *Job) Validate() error {
+	src := j.Run.Source
 	switch {
 	case j.Version != JobFormatVersion:
 		return fmt.Errorf("dist: job format version %d, want %d", j.Version, JobFormatVersion)
-	case j.Mode != "timed" && j.Mode != "functional":
-		return fmt.Errorf("dist: job mode %q is neither \"timed\" nor \"functional\"", j.Mode)
-	case j.Spec == nil && len(j.Scenario) == 0:
-		return fmt.Errorf("dist: job carries neither a spec nor a scenario")
-	case j.Spec != nil && len(j.Scenario) > 0:
-		return fmt.Errorf("dist: job carries both a spec and a scenario")
+	case j.Run.Mode != sim.Timed && j.Run.Mode != sim.Functional:
+		return fmt.Errorf("dist: job mode %d is neither timed nor functional", int(j.Run.Mode))
+	case (src.Spec == nil) == (src.Scenario == nil) || src.Tape != nil || src.Stream != nil:
+		return fmt.Errorf("dist: a job's workload is exactly one of a spec and a scenario")
 	}
 	return nil
 }
 
-// source parses the job's workload into a run source: its spec, or its
-// scenario document.
-func (j *Job) source() (sim.Source, error) {
-	if len(j.Scenario) == 0 {
-		return sim.Source{Spec: j.Spec}, nil
-	}
-	s, err := trace.ParseScenario(bytes.NewReader(j.Scenario))
-	if err != nil {
-		return sim.Source{}, err
-	}
-	return sim.Source{Scenario: &s}, nil
-}
-
-// CkptKey returns the content address of the job's checkpoint: the hex
-// digest of the full job identity — trace identity (TapeKey) plus mode
-// and the complete prefetcher spec. Unlike tapes, a checkpoint is only
-// meaningful to the exact job that wrote it (the serialized state
+// CkptKey returns the content address of the job's checkpoint: its
+// run's identity (sim.RunSpec.Key). Unlike tapes, a checkpoint is only
+// meaningful to the exact run that wrote it (the serialized state
 // embeds the variant's tables and in-flight operations), so the
-// prefetcher spec is part of the address. One key names one job's
+// prefetcher spec is part of the address. One key names one run's
 // "latest checkpoint": each cadence overwrites the previous container.
 func (j *Job) CkptKey() (string, error) {
-	tk, err := j.TapeKey()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("ckpt|tape=%s|mode=%s|pref=%s", tk, j.Mode, prefString(j.Pref))))
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// prefString renders the complete prefetcher spec for CkptKey,
-// dereferencing the optional config pointers so two specs differing
-// only behind a pointer hash differently.
-func prefString(ps sim.PrefSpec) string {
-	scfg, ecfg := "", ""
-	if ps.STMSCfg != nil {
-		scfg = fmt.Sprintf("%+v", *ps.STMSCfg)
-	}
-	if ps.Engine != nil {
-		ecfg = fmt.Sprintf("%+v", *ps.Engine)
-	}
-	return fmt.Sprintf("k=%d|d=%d|h=%d|i=%d|p=%g|s=%s|e=%s",
-		ps.Kind, ps.MaxDepth, ps.HistoryEntries, ps.IndexEntries, ps.SampleProb, scfg, ecfg)
-}
-
-// TapeKey returns the content address of the job's trace identity: the
-// hex digest of (scaled spec or scenario, seed, cores, per-core record
-// budget) — everything that determines the materialized tape, and
-// nothing that doesn't (the prefetcher variant, for one, so every
-// variant column of a matrix row shares a key). Coordinator and worker
-// compute it independently and must agree; it names tapes in every
-// store tier and routes cells to workers by affinity.
-func (j *Job) TapeKey() (string, error) {
-	src, err := j.source()
-	if err != nil {
-		return "", err
-	}
-	key, _ := TapeRecipe(src, j.Config)
-	return key, nil
-}
-
-// TapeKey computes the content address of a trace identity. Exactly
-// one of spec (already scaled) and scenarioKey (a scaled
-// Scenario.Key) is meaningful; the other is its zero value.
-func TapeKey(spec trace.Spec, scenarioKey string, seed uint64, cores int, perCore uint64) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("spec=%+v|scn=%s|seed=%d|cores=%d|per=%d",
-		spec, scenarioKey, seed, cores, perCore)))
-	return hex.EncodeToString(sum[:])
-}
-
-// TapeRecipe returns the content address of a run's trace identity and
-// the build that materializes its tape. src is a full-scale Spec or
-// Scenario source; cfg supplies the scale, seed, cores and the warm +
-// measure budget. Every tape a lab session or worker builds for a cell
-// comes from here, so coordinator and worker agree on the address.
-func TapeRecipe(src sim.Source, cfg sim.Config) (key string, build func() *trace.Tape) {
-	seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
-	if src.Scenario != nil {
-		scn := src.Scenario.Scaled(cfg.Scale)
-		return TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore),
-			func() *trace.Tape { return trace.NewScenarioTape(scn, seed, cores, perCore) }
-	}
-	spec := src.Spec.Scaled(cfg.Scale)
-	return TapeKey(spec, "", seed, cores, perCore),
-		func() *trace.Tape { return trace.NewTape(spec, seed, cores, perCore) }
-}
-
-// tapeKeyOf recomputes the content address of a materialized tape from
-// the identity it carries — the receiving tier of every tape transfer
-// (disk load, PUT /tapes) verifies the address instead of trusting the
-// name it arrived under.
-func tapeKeyOf(t *trace.Tape) string {
-	scnKey := ""
-	spec := trace.Spec{}
-	if scn := t.Scenario(); scn != nil {
-		scnKey = scn.Key()
-	} else {
-		spec = t.Spec()
-	}
-	return TapeKey(spec, scnKey, t.Seed(), t.Cores(), t.PerCore())
+	return j.Run.Key()
 }
 
 // TapeSource records which tier satisfied a job's tape: the worker's

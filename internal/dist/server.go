@@ -287,7 +287,7 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 					return s.cfg.Store.PutCkpt(key, data)
 				},
 			}
-			if sim.CheckpointablePref(job.Pref) {
+			if sim.CheckpointablePref(job.Run.Pref) {
 				exec.Resume = s.lookupCkpt(r.Context(), key)
 			}
 		}

@@ -10,10 +10,10 @@ package dist
 //	      → deterministic rebuild
 //
 // Tapes are addressed by the content hash of their trace identity
-// (TapeKey), and every tier that receives a tape — a disk load, a peer
-// fetch, a PUT — re-derives the address from the tape's own identity
-// and rejects mismatches, so a truncated or corrupted file is rebuilt
-// rather than served.
+// (trace.TapeKey), and every tier that receives a tape — a disk load,
+// a peer fetch, a PUT — re-derives the address from the tape's own
+// identity (Tape.Key) and rejects mismatches, so a truncated or
+// corrupted file is rebuilt rather than served.
 
 import (
 	"container/list"
@@ -198,7 +198,7 @@ func (s *Store) GetOrBuild(ctx context.Context, key string,
 		// Fetch hook: another worker that already built this tape.
 		if fetch != nil {
 			t0 := time.Now()
-			if t, err := fetch(ctx); err == nil && t != nil && tapeKeyOf(t) == key {
+			if t, err := fetch(ctx); err == nil && t != nil && t.Key() == key {
 				fetchTime += time.Since(t0)
 				e.tape, e.src = t, TapeFromPeer
 				s.saveDisk(key, t)
@@ -276,7 +276,7 @@ func (s *Store) Get(key string) (*trace.Tape, bool) {
 // /tapes). The tape's own identity must hash to key; mismatches are
 // rejected — the store is content-addressed, not name-addressed.
 func (s *Store) Put(key string, t *trace.Tape) error {
-	if got := tapeKeyOf(t); got != key {
+	if got := t.Key(); got != key {
 		return fmt.Errorf("dist: tape identity hashes to %.12s…, not the requested address %.12s…", got, key)
 	}
 	s.saveDisk(key, t)
@@ -350,7 +350,7 @@ func (s *Store) loadDisk(key string) (*trace.Tape, bool) {
 	}
 	defer f.Close()
 	t, err := trace.ReadTape(f)
-	if err != nil || tapeKeyOf(t) != key {
+	if err != nil || t.Key() != key {
 		s.mu.Lock()
 		s.stats.DiskSkips++
 		s.mu.Unlock()

@@ -20,7 +20,7 @@ func testTape(t *testing.T, i int) (string, *trace.Tape) {
 	spec = spec.Scaled(0.0625)
 	seed := uint64(100 + i)
 	tape := trace.NewTape(spec, seed, 2, 500)
-	return TapeKey(spec, "", seed, 2, 500), tape
+	return trace.TapeKey(spec, "", seed, 2, 500), tape
 }
 
 func TestStoreGetOrBuildSingleflight(t *testing.T) {
@@ -289,25 +289,25 @@ func TestTapeKeyDisambiguates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := TapeKey(spec, "", 1, 4, 1000)
-	if TapeKey(spec, "", 2, 4, 1000) == base {
+	base := trace.TapeKey(spec, "", 1, 4, 1000)
+	if trace.TapeKey(spec, "", 2, 4, 1000) == base {
 		t.Fatal("seed not in the address")
 	}
-	if TapeKey(spec, "", 1, 2, 1000) == base {
+	if trace.TapeKey(spec, "", 1, 2, 1000) == base {
 		t.Fatal("cores not in the address")
 	}
-	if TapeKey(spec, "", 1, 4, 2000) == base {
+	if trace.TapeKey(spec, "", 1, 4, 2000) == base {
 		t.Fatal("record budget not in the address")
 	}
 	scn := trace.Stationary("w", spec)
-	if TapeKey(trace.Spec{}, scn.Key(), 1, 4, 1000) == base {
+	if trace.TapeKey(trace.Spec{}, scn.Key(), 1, 4, 1000) == base {
 		t.Fatal("scenario identity not in the address")
 	}
 	if len(base) != 64 {
 		t.Fatalf("address %q is not a sha256 hex digest", base)
 	}
 	for i := 0; i < 3; i++ {
-		if TapeKey(spec, "", 1, 4, 1000) != base {
+		if trace.TapeKey(spec, "", 1, 4, 1000) != base {
 			t.Fatal("address not deterministic")
 		}
 	}
@@ -320,12 +320,12 @@ func TestTapeKeyOfMatchesBuilders(t *testing.T) {
 	}
 	spec = spec.Scaled(0.0625)
 	tape := trace.NewTape(spec, 7, 2, 400)
-	if got, want := tapeKeyOf(tape), TapeKey(spec, "", 7, 2, 400); got != want {
+	if got, want := tape.Key(), trace.TapeKey(spec, "", 7, 2, 400); got != want {
 		t.Fatalf("spec tape re-derives %s, want %s", got, want)
 	}
 	scn := trace.Stationary("w", spec)
 	stape := trace.NewScenarioTape(scn, 7, 2, 400)
-	if got, want := tapeKeyOf(stape), TapeKey(trace.Spec{}, scn.Key(), 7, 2, 400); got != want {
+	if got, want := stape.Key(), trace.TapeKey(trace.Spec{}, scn.Key(), 7, 2, 400); got != want {
 		t.Fatalf("scenario tape re-derives %s, want %s", got, want)
 	}
 }
@@ -334,7 +334,7 @@ func BenchmarkStoreHit(b *testing.B) {
 	s := NewStore(1<<30, "")
 	spec, _ := trace.ByName("sci-em3d")
 	spec = spec.Scaled(0.0625)
-	key := TapeKey(spec, "", 1, 2, 500)
+	key := trace.TapeKey(spec, "", 1, 2, 500)
 	build := func() *trace.Tape { return trace.NewTape(spec, 1, 2, 500) }
 	if _, _, err := s.GetOrBuild(context.Background(), key, nil, build); err != nil {
 		b.Fatal(err)

@@ -300,11 +300,7 @@ func TestChaosCorruptCheckpointFallsBackCold(t *testing.T) {
 	if len(plan.Cells) != 1 {
 		t.Fatalf("plan has %d cells, want 1", len(plan.Cells))
 	}
-	job, err := jobFromCell(&plan.Cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptKey, err := job.CkptKey()
+	ckptKey, err := plan.Cells[0].key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +346,8 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// run under -race, perturbing the exact resume counters.
 	seed := testLab(t, WithWorkers(urls), WithManifest(path))
 	plan := seed.Plan(workloads, prefs)
-	job, err := jobFromCell(&plan.Cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptKey, err := job.CkptKey()
+	job := &dist.Job{Version: dist.JobFormatVersion, Run: plan.Cells[0].runSpec()}
+	ckptKey, err := plan.Cells[0].key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,12 +369,12 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seed.recordPartial(cellKey(&plan.Cells[0]), ckptKey)
+	seed.recordPartial(ckptKey, ckptKey)
 
 	// The restarted session: the proactive sweep fetches the checkpoint
 	// and the first attempt resumes.
 	resumed := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := resumed.partialCkpt(cellKey(&plan.Cells[0])); got != ckptKey {
+	if got := resumed.partialCkpt(ckptKey); got != ckptKey {
 		t.Fatalf("restarted session loaded partial %q, want %q", got, ckptKey)
 	}
 	rm, err := resumed.Run(context.Background(), resumed.Plan(workloads, prefs))
@@ -405,7 +398,7 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// Completion supersedes the partial: a third session neither resumes
 	// nor re-runs the cell.
 	third := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := third.partialCkpt(cellKey(&plan.Cells[0])); got != "" {
+	if got := third.partialCkpt(ckptKey); got != "" {
 		t.Fatalf("completed cell still partial (%q) in a fresh session", got)
 	}
 	if got := third.MemoSize(); got != 1 {

@@ -45,7 +45,7 @@ type Lab struct {
 	mu       sync.Mutex
 	memo     map[string]*sim.Results
 	memoSmp  map[string]*sim.SampledResults // sampled-cell estimates (session-local)
-	partials map[string]string              // cellKey → checkpoint address of a partial cell
+	partials map[string]string              // cell key → checkpoint address of a partial cell
 	tapes    *dist.Store                    // nil = tape caching disabled (live generation)
 	simNS    int64                          // cumulative cell simulation time, excluding tape access
 
@@ -197,7 +197,7 @@ func WithTapeCache(maxBytes int64) Option {
 
 // WithTapeDir adds an on-disk tier to the session's tape store: a
 // directory of STMSTAPE files named by trace-identity hash
-// (dist.TapeKey). Tapes built by this session persist there across
+// (trace.TapeKey). Tapes built by this session persist there across
 // process restarts, and any session or stms-serve worker pointed at
 // the same directory shares them. The memory tier (WithTapeCache) sits
 // in front; results are bit-identical with or without the directory.
@@ -300,37 +300,6 @@ func (l *Lab) BaseConfig() sim.Config { return l.base }
 
 // Parallelism returns the session's worker-pool bound.
 func (l *Lab) Parallelism() int { return l.par }
-
-// cellKey identifies a cell by everything that determines its result:
-// the driver mode, the fully resolved workload (spec or scenario),
-// system config and prefetcher spec. Deterministic simulation makes
-// memoization by this key exact.
-func cellKey(c *Cell) string {
-	ps := c.Pref
-	scfg := ""
-	if ps.STMSCfg != nil {
-		scfg = fmt.Sprintf("%+v", *ps.STMSCfg)
-	}
-	ecfg := ""
-	if ps.Engine != nil {
-		ecfg = fmt.Sprintf("%+v", *ps.Engine)
-	}
-	scn := ""
-	if c.Scenario != nil {
-		scn = c.Scenario.Key()
-	}
-	key := fmt.Sprintf("%d|spec=%+v|scn=%s|cfg=%+v|k=%d|d=%d|h=%d|i=%d|p=%g|s=%s|e=%s",
-		c.Mode, c.Spec, scn, c.Config, ps.Kind, ps.MaxDepth,
-		ps.HistoryEntries, ps.IndexEntries, ps.SampleProb, scfg, ecfg)
-	// Sampled cells key (and memoize) distinctly: an estimate must never
-	// be served where an exact result was asked for, or vice versa.
-	// Exact cells keep the historical key so prior-session manifests
-	// stay valid.
-	if c.Sampling.Windows > 1 {
-		key += fmt.Sprintf("|smp=%+v", c.Sampling)
-	}
-	return key
-}
 
 // MemoSize reports how many distinct cells the session has memoized.
 func (l *Lab) MemoSize() int {

@@ -2,6 +2,7 @@ package lab
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -63,12 +64,19 @@ func TestCellKeyDistinguishesConfigs(t *testing.T) {
 		func(c *Cell) { c.Pref.Kind = sim.Ideal },
 		func(c *Cell) { c.Spec.DirtyFrac += 0.01 },
 	}
-	k0 := cellKey(&base)
+	k0, err := base.key()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, mutate := range variants {
 		c := base
 		mutate(&c)
-		if cellKey(&c) == k0 {
-			t.Errorf("variant %d not distinguished by cellKey", i)
+		k, err := c.key()
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		if k == k0 {
+			t.Errorf("variant %d not distinguished by the cell key", i)
 		}
 	}
 }
@@ -121,11 +129,15 @@ func TestCellFailureIsContained(t *testing.T) {
 			failed++
 		}
 	}))
-	// Break exactly one cell's config; its sibling must still run.
-	p := l.Plan([]string{"web-apache", "web-zeus"}, []sim.PrefSpec{{Kind: sim.None}},
+	// Break two cells — one config, one with no computable key — and
+	// their sibling must still run.
+	p := l.Plan([]string{"web-apache", "web-zeus", "oltp-db2"}, []sim.PrefSpec{{Kind: sim.None}},
 		ForEachCell(func(c *Cell) {
-			if c.Workload == "web-zeus" {
+			switch c.Workload {
+			case "web-zeus":
 				c.Config.MeasureRecords = 0 // invalid: empty window
+			case "oltp-db2":
+				c.Pref.SampleProb = math.NaN() // no JSON form, so no run key
 			}
 		}))
 	m, err := l.Run(context.Background(), p)
@@ -138,14 +150,16 @@ func TestCellFailureIsContained(t *testing.T) {
 	if m.Err() == nil {
 		t.Fatal("matrix hides the failed cell")
 	}
-	if failed != 1 {
-		t.Fatalf("failed events = %d, want 1", failed)
+	if failed != 2 {
+		t.Fatalf("failed events = %d, want 2", failed)
 	}
 	if good := m.Get("web-apache", "baseline"); good == nil || good.Res == nil {
 		t.Fatal("healthy sibling cell did not run")
 	}
-	if bad := m.Get("web-zeus", "baseline"); bad.Res != nil || bad.Err == nil {
-		t.Fatal("failed cell not recorded as failed")
+	for _, w := range []string{"web-zeus", "oltp-db2"} {
+		if bad := m.Get(w, "baseline"); bad.Res != nil || bad.Err == nil {
+			t.Fatalf("failed cell %s not recorded as failed", w)
+		}
 	}
 	if m.Complete() {
 		t.Fatal("matrix with failed cell reports complete")

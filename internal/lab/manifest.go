@@ -1,7 +1,7 @@
 package lab
 
 // The job manifest makes matrix runs resumable. It is a versioned
-// JSON-lines file — a {"stms_manifest":1} header, then one entry per
+// JSON-lines file — a {"stms_manifest":2} header, then one entry per
 // cell — appended and fsync'd as cells progress. Two entry shapes
 // exist:
 //
@@ -39,8 +39,10 @@ import (
 	"stms/internal/sim"
 )
 
-// manifestFormatVersion stamps the header line.
-const manifestFormatVersion = 1
+// manifestFormatVersion stamps the header line. Version 2 keys cells by
+// their run identity (sim.RunSpec.Key); version 1 keys cannot be
+// translated, so version 1 manifests are refused.
+const manifestFormatVersion = 2
 
 type manifestHeader struct {
 	Version int `json:"stms_manifest"`
@@ -49,7 +51,7 @@ type manifestHeader struct {
 type manifestEntry struct {
 	Key  string       `json:"key"`
 	Res  *sim.Results `json:"results,omitempty"`
-	Ckpt string       `json:"ckpt,omitempty"` // checkpoint address (dist.Job.CkptKey) of a partial cell
+	Ckpt string       `json:"ckpt,omitempty"` // checkpoint address (sim.RunSpec.Key) of a partial cell
 }
 
 // manifest is an open, append-only manifest file.
@@ -104,7 +106,7 @@ func openManifest(path string, memo map[string]*sim.Results, partials map[string
 	}
 	if hdr.Version != manifestFormatVersion {
 		f.Close()
-		return nil, fmt.Errorf("lab: manifest %s: format version %d, want %d",
+		return nil, fmt.Errorf("lab: manifest %s: format version %d, want %d; delete it or pass a new -manifest path",
 			path, hdr.Version, manifestFormatVersion)
 	}
 

@@ -52,6 +52,17 @@ func (c *Cell) runSpec() sim.RunSpec {
 	return rs
 }
 
+// key identifies the cell by everything that determines its result:
+// its run's identity (sim.RunSpec.Key), or the sampled run's identity
+// for a sampled cell, so an estimate never collides with an exact
+// result. Deterministic simulation makes memoization by this key exact.
+func (c *Cell) key() (string, error) {
+	if c.Sampling.Windows > 1 {
+		return c.runSpec().SampledKey(c.Sampling)
+	}
+	return c.runSpec().Key()
+}
+
 // RunPlan is an executable workload × variant cross-product. Build one
 // with Lab.Plan or Lab.PlanSpecs; construction errors surface from
 // Err() and from Lab.Run.

@@ -30,9 +30,7 @@ package lab
 // bit-identical to an in-process run, however unkind the network was.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -171,29 +169,6 @@ func (p *remotePool) count(f func(*RemoteStats)) {
 	p.mu.Unlock()
 }
 
-// jobFromCell serializes a cell into its wire identity.
-func jobFromCell(c *Cell) (*dist.Job, error) {
-	job := &dist.Job{
-		Version:  dist.JobFormatVersion,
-		Mode:     c.Mode.String(),
-		Workload: c.Workload,
-		Variant:  c.Label,
-		Config:   c.Config,
-		Pref:     c.Pref,
-	}
-	if c.Scenario != nil {
-		b, err := json.Marshal(c.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("lab: encoding scenario %q: %w", c.Scenario.Name, err)
-		}
-		job.Scenario = b
-	} else {
-		spec := c.Spec
-		job.Spec = &spec
-	}
-	return job, nil
-}
-
 // rank orders the pool's workers for a tape address by rendezvous
 // (highest-random-weight) hashing: every coordinator ranks the same
 // address the same way, cells sharing a tape agree on a home worker,
@@ -262,20 +237,6 @@ func (a *attemptLog) String() string {
 		fmt.Sprintf("; (+%d more attempts)", len(a.entries)-max)
 }
 
-// ckptMatchesJob is the coordinator's identity check on a fetched
-// checkpoint: mode, full config, and the complete prefetcher spec
-// (JSON-compared — Kind alone would let a checkpoint from a different
-// sampling probability restore cleanly into wrong results). The trace
-// identity is re-validated by whichever side actually resumes.
-func ckptMatchesJob(d sim.CheckpointDesc, job *dist.Job) bool {
-	if d.Mode != job.Mode || d.Cfg != job.Config {
-		return false
-	}
-	a, err1 := json.Marshal(d.PS)
-	b, err2 := json.Marshal(job.Pref)
-	return err1 == nil && err2 == nil && bytes.Equal(a, b)
-}
-
 // run executes one cell remotely. It makes up to Resilience.RetryRounds
 // passes over the affinity ranking, backing off between passes, gating
 // each attempt through the worker's circuit breaker, and falling back
@@ -294,11 +255,8 @@ func ckptMatchesJob(d sim.CheckpointDesc, job *dist.Job) bool {
 // result.
 func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, time.Duration, string, error) {
 	start := time.Now()
-	job, err := jobFromCell(cell)
-	if err != nil {
-		return sim.Results{}, 0, "", err
-	}
-	key, err := job.TapeKey()
+	job := &dist.Job{Version: dist.JobFormatVersion, Workload: cell.Workload, Variant: cell.Label, Run: cell.runSpec()}
+	key, _, err := job.Run.TapeRecipe()
 	if err != nil {
 		return sim.Results{}, 0, "", err
 	}
@@ -306,24 +264,25 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	var log attemptLog
 
 	// held is the freshest valid checkpoint the coordinator has
-	// exchanged for this cell; adopt validates and keeps the best.
+	// exchanged for this cell; adopt keeps the best one of this run. A
+	// remote cell is exact, so its checkpoint address is also its key
+	// in the memo and manifest.
 	ckptKey, err := job.CkptKey()
 	if err != nil {
 		return sim.Results{}, 0, "", err
 	}
-	ck := cellKey(cell)
 	var held []byte
 	var heldRecs uint64
 	adopt := func(data []byte) bool {
 		d, perr := sim.PeekCheckpoint(data)
-		if perr != nil || !ckptMatchesJob(d, job) {
+		if perr != nil || d.Key != ckptKey {
 			return false
 		}
 		if held != nil && d.Records <= heldRecs {
 			return false
 		}
 		held, heldRecs = data, d.Records
-		l.recordPartial(ck, ckptKey)
+		l.recordPartial(ckptKey, ckptKey)
 		return true
 	}
 	fetchCkpt := func(c *dist.Client) bool {
@@ -341,7 +300,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	// sweep the ranking for it before the first attempt, so the
 	// restarted coordinator resumes the partial cell instead of
 	// starting it over.
-	if pk := l.partialCkpt(ck); pk == ckptKey {
+	if pk := l.partialCkpt(ckptKey); pk == ckptKey {
 		for _, c := range ranking {
 			if ctx.Err() != nil || fetchCkpt(c) {
 				break

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stms/internal/dist"
@@ -329,6 +330,19 @@ func TestManifestRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := New(WithManifest(path)); err == nil {
 		t.Fatal("wrong manifest version accepted")
+	}
+	// A version 1 manifest keys cells by the old per-package identity:
+	// it is refused with a pointer at the way out, not misread.
+	v1 := filepath.Join(t.TempDir(), "v1.manifest")
+	if err := os.WriteFile(v1, []byte(`{"stms_manifest":1}`+"\n"+`{"key":"0|spec=...","ckpt":"abc"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(WithManifest(v1))
+	if err == nil {
+		t.Fatal("version 1 manifest accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, v1) || !strings.Contains(msg, "delete it") || !strings.Contains(msg, "-manifest") {
+		t.Fatalf("version 1 rejection %q does not name the path and the way out", msg)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stms/internal/dist"
 	"stms/internal/sim"
 )
 
@@ -71,17 +70,23 @@ func (l *Lab) Run(ctx context.Context, p *RunPlan) (*Matrix, error) {
 		Labels:    append([]string(nil), p.Labels...),
 		Cells:     make([]CellResult, len(p.Cells)),
 	}
-	st := &runState{lab: l, m: m, total: len(p.Cells), dups: make(map[int][]int)}
+	st := &runState{lab: l, m: m, total: len(p.Cells), keys: make([]string, len(p.Cells)), dups: make(map[int][]int)}
 
 	// Serve memo hits first (emitting their finished events
 	// immediately), collapse identical cells within the plan onto one
 	// representative, and fan the rest out over the pool.
 	var todo []int
-	rep := make(map[string]int) // cellKey → representative index in todo
+	rep := make(map[string]int) // cell key → representative index in todo
 	for i := range p.Cells {
 		cell := p.Cells[i]
 		m.Cells[i] = CellResult{Cell: cell}
-		key := cellKey(&cell)
+		key, err := cell.key()
+		if err != nil {
+			m.Cells[i].Err = err
+			st.emit(ResultEvent{Kind: CellFailed, Cell: cell, Err: err})
+			continue
+		}
+		st.keys[i] = key
 		if sr, ok := l.lookupSmp(key); ok {
 			m.Cells[i].Res = &sr.Results
 			m.Cells[i].Sampled = sr
@@ -169,7 +174,10 @@ func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, sr *si
 		if err := rs.Config.Validate(); err != nil {
 			return sim.Results{}, nil, 0, err
 		}
-		key, build := dist.TapeRecipe(rs.Source, rs.Config)
+		key, build, err := rs.TapeRecipe()
+		if err != nil {
+			return sim.Results{}, nil, 0, err
+		}
 		t0 := time.Now()
 		tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
 		tapeWait = time.Since(t0)
@@ -194,6 +202,7 @@ type runState struct {
 	lab   *Lab
 	m     *Matrix
 	total int
+	keys  []string      // cell index → cell key
 	dups  map[int][]int // representative cell index → identical cells
 
 	evMu sync.Mutex
@@ -261,10 +270,10 @@ func (st *runState) runCell(ctx context.Context, i int) {
 	if sr != nil {
 		cr.Sampled = sr
 		cr.Res = &sr.Results
-		st.lab.storeSmp(cellKey(&cell), sr)
+		st.lab.storeSmp(st.keys[i], sr)
 	} else {
 		cr.Res = &res
-		st.lab.store(cellKey(&cell), cr.Res)
+		st.lab.store(st.keys[i], cr.Res)
 	}
 	st.emit(ResultEvent{Kind: CellFinished, Cell: cell, Res: cr.Res, Wall: cr.Wall, Note: note})
 	// Identical plan cells share the result without re-simulating.

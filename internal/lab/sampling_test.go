@@ -77,7 +77,15 @@ func TestSampledMemoDistinctFromExact(t *testing.T) {
 	exact := l.Plan([]string{"web-apache"}, prefs)
 	sampled := l.Plan([]string{"web-apache"}, prefs,
 		ForEachCell(func(c *Cell) { c.Sampling = sim.Sampling{Windows: 4} }))
-	if k0, k1 := cellKey(&exact.Cells[0]), cellKey(&sampled.Cells[0]); k0 == k1 {
+	k0, err := exact.Cells[0].key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := sampled.Cells[0].key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k0 == k1 {
 		t.Fatalf("sampled cell shares memo key with exact cell: %q", k0)
 	}
 

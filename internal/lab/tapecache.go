@@ -11,8 +11,9 @@ package lab
 // (memory LRU → on-disk STMSTAPE directory) store the distributed
 // lab's workers share — so a session given WithTapeDir persists its
 // tapes across process restarts and alongside any worker pointed at
-// the same directory. Identities are hashed by dist.TapeKey, the same
-// address a worker computes for the same cell, fleet-wide.
+// the same directory. Identities are hashed by trace.TapeKey (through
+// sim.RunSpec.TapeRecipe), the same address a worker computes for the
+// same cell, fleet-wide.
 
 import (
 	"sync/atomic"

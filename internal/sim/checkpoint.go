@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,41 +121,39 @@ func gatherOpts(opts []RunOption) runOpts {
 	return o
 }
 
-// ckptSrc records how a run's trace sources were built, so a resumed
-// run can rebuild the identical sources.
-type ckptSrc struct {
-	kind string // "spec" | "scenario" | "tape" | "external"
-	spec trace.Spec
-	scn  trace.Scenario
-}
-
 // CheckpointDesc is the JSON run descriptor at the head of every
-// checkpoint: everything needed to reconstruct the run it belongs to.
-// Spec and Scenario are the original (unscaled) inputs; tape-backed
-// checkpoints echo the tape's spec for identity validation and need
-// the tape itself handed to RunSpec.
+// checkpoint. Key is the run's identity (RunSpec.Key, or SampledKey for
+// a sampled run's container, which also records Sampling); a
+// checkpoint restores only into a run with the same key. The rest is
+// everything needed to rebuild the run: Spec and Scenario are the
+// original (unscaled) inputs; tape-backed checkpoints echo the tape's
+// spec and need the tape itself handed to RunSpec.
 type CheckpointDesc struct {
-	Mode     string          `json:"mode"`   // "timed" | "functional"
+	Key      string          `json:"key"`
+	Mode     string          `json:"mode"`   // "timed" | "functional" | "sampled"
 	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
 	Cfg      Config          `json:"cfg"`
 	PS       PrefSpec        `json:"ps"`
 	Spec     *trace.Spec     `json:"spec,omitempty"`
 	Scenario *trace.Scenario `json:"scenario,omitempty"`
-	Records  uint64          `json:"records"` // records processed at capture
+	Sampling *Sampling       `json:"sampling,omitempty"` // sampled containers only
+	Records  uint64          `json:"records"`            // records processed at capture
 }
 
 // PeekCheckpoint opens a sealed checkpoint and returns its descriptor
 // without restoring anything.
 func PeekCheckpoint(data []byte) (CheckpointDesc, error) {
-	payload, err := ckpt.Open(data)
-	if err != nil {
-		return CheckpointDesc{}, err
-	}
-	d, _, err := readDesc(payload)
+	d, _, err := openDesc(data)
 	return d, err
 }
 
-func readDesc(payload []byte) (CheckpointDesc, *ckpt.Decoder, error) {
+// openDesc opens a sealed checkpoint and reads its descriptor, leaving
+// the decoder at the first component snapshot.
+func openDesc(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
+	payload, err := ckpt.Open(data)
+	if err != nil {
+		return CheckpointDesc{}, nil, err
+	}
 	dec := ckpt.NewDecoder(payload)
 	dec.Section("sim.checkpoint")
 	j := dec.Bytes()
@@ -199,13 +196,14 @@ func writeCheckpoint(o *runOpts, d CheckpointDesc, snap func(*ckpt.Encoder) erro
 	return nil
 }
 
-// openResume validates and unpacks a WithResume container.
-func openResume(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
-	payload, err := ckpt.Open(data)
+// resume opens a WithResume container for the run want describes,
+// refusing a checkpoint of any other run.
+func (want CheckpointDesc) resume(data []byte) (*ckpt.Decoder, error) {
+	d, dec, err := openDesc(data)
 	if err != nil {
-		return CheckpointDesc{}, nil, err
+		return nil, err
 	}
-	return readDesc(payload)
+	return dec, want.check(d)
 }
 
 // RunSpec rebuilds the RunSpec the checkpoint belongs to; resume it by
@@ -215,15 +213,15 @@ func openResume(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
 // its records: the caller supplies the tape (re-fetched by key in the
 // distributed lab, rebuilt locally otherwise).
 func (d CheckpointDesc) RunSpec(tape *trace.Tape) (RunSpec, error) {
-	rs := RunSpec{Config: d.Cfg, Pref: d.PS}
-	switch d.Mode {
-	case "timed", "sampled":
-		rs.Mode = Timed
-	case "functional":
-		rs.Mode = Functional
-	default:
-		return RunSpec{}, fmt.Errorf("sim: checkpoint descriptor names unknown mode %q", d.Mode)
+	mode := d.Mode
+	if d.Sampling != nil {
+		mode = Timed.String()
 	}
+	m, err := parseMode(mode)
+	if err != nil {
+		return RunSpec{}, err
+	}
+	rs := RunSpec{Mode: m, Config: d.Cfg, Pref: d.PS}
 	switch {
 	case d.Source == "spec" && d.Spec != nil:
 		rs.Source.Spec = d.Spec
@@ -280,7 +278,7 @@ func CheckpointablePref(ps PrefSpec) bool {
 
 // ckptSupported gates checkpoint requests on configurations whose full
 // state is serializable.
-func ckptSupported(src ckptSrc, pref built, ps PrefSpec) error {
+func ckptSupported(desc CheckpointDesc, pref built, ps PrefSpec) error {
 	switch ps.Kind {
 	case None, Ideal, STMS:
 	default:
@@ -291,63 +289,20 @@ func ckptSupported(src ckptSrc, pref built, ps PrefSpec) error {
 			return err
 		}
 	}
-	if src.kind == "external" {
+	if desc.Key == "" {
 		return fmt.Errorf("sim: runs over externally supplied generators are not checkpointable (sources cannot be re-derived)")
 	}
 	return nil
 }
 
-func descFor(mode string, src ckptSrc, cfg Config, ps PrefSpec, tapeSpec trace.Spec, records uint64) CheckpointDesc {
-	d := CheckpointDesc{Mode: mode, Source: src.kind, Cfg: cfg, PS: ps, Records: records}
-	switch src.kind {
-	case "spec":
-		sp := src.spec
-		d.Spec = &sp
-	case "scenario":
-		sc := src.scn
-		d.Scenario = &sc
-	case "tape":
-		sp := tapeSpec
-		d.Spec = &sp
-	}
-	return d
-}
-
-// checkDesc validates a resume descriptor against the run being
-// restored into.
-func checkDesc(d CheckpointDesc, mode string, src ckptSrc, cfg Config, ps PrefSpec, scaled trace.Spec) error {
-	return sameRun(d, descFor(mode, src, cfg, ps, scaled, 0))
-}
-
-// sameRun is the one resume identity check: a checkpoint restores only
-// into the run that wrote it — same mode, source kind, configuration,
-// complete prefetcher spec and trace identity. A checkpoint of another
-// workload, or of another sampling probability or engine geometry,
-// would restore cleanly and then produce wrong results.
-func sameRun(d, want CheckpointDesc) error {
-	switch {
-	case d.Mode != want.Mode:
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, want.Mode)
-	case d.Source != want.Source:
-		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, want.Source)
-	case d.Cfg != want.Cfg:
-		return fmt.Errorf("sim: checkpoint configuration does not match the run's")
-	}
-	dps, err1 := json.Marshal(d.PS)
-	wps, err2 := json.Marshal(want.PS)
-	if err1 != nil || err2 != nil || !bytes.Equal(dps, wps) {
-		return fmt.Errorf("sim: checkpoint prefetcher spec %s does not match the run's %s", dps, wps)
-	}
-	switch {
-	case want.Scenario != nil:
-		sc := want.Cfg.Scale
-		if d.Scenario == nil || d.Scenario.Scaled(sc).Key() != want.Scenario.Scaled(sc).Key() {
-			return fmt.Errorf("sim: checkpoint scenario does not match the run's")
-		}
-	case want.Spec != nil:
-		if d.Spec == nil || *d.Spec != *want.Spec {
-			return fmt.Errorf("sim: checkpoint trace identity does not match the run's")
-		}
+// check is the one resume identity check: a checkpoint restores only
+// into the run that wrote it. A checkpoint of another workload, another
+// sampling probability or engine geometry would restore cleanly and
+// then produce wrong results.
+func (want CheckpointDesc) check(d CheckpointDesc) error {
+	if d.Key != want.Key {
+		return fmt.Errorf("sim: checkpoint of run %.12s… (%s %s) does not match run %.12s…",
+			d.Key, d.Mode, d.Source, want.Key)
 	}
 	return nil
 }
@@ -672,7 +627,8 @@ func (s *timed) restore(dec *ckpt.Decoder) error {
 
 // writeCkpt emits one checkpoint of the running timed system.
 func (s *timed) writeCkpt() error {
-	d := descFor("timed", s.src, s.cfg, s.ps, s.spec, s.allRecs)
+	d := s.desc
+	d.Records = s.allRecs
 	return writeCheckpoint(&s.opt, d, s.snapshot)
 }
 

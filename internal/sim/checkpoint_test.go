@@ -349,6 +349,69 @@ func TestCheckpointDescMismatch(t *testing.T) {
 	}
 }
 
+// TestCrossSubstrateResume: a checkpoint names its run by identity, not
+// by trace substrate, so a spec run's checkpoint resumes over the tape
+// of that spec and vice versa, and likewise a scenario and its tape —
+// in both drivers, from early, mid-run (past the phase and warm-up
+// boundaries) and late checkpoints, each bit-identical to the
+// uninterrupted run.
+func TestCrossSubstrateResume(t *testing.T) {
+	cfg := ckptConfig()
+	total := cfg.WarmRecords + cfg.MeasureRecords
+	oltp := spec(t, "oltp-db2")
+	const split = 3000 // per-core records in the scenario's first phase
+	scn := trace.Sequence("split", trace.Phase{Name: "web", Records: split, Spec: spec(t, "web-apache")}, trace.Phase{Name: "oltp", Spec: oltp})
+	specTape := trace.NewTape(oltp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, total)
+	scnTape := trace.NewScenarioTape(scn.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, total)
+	ctx := context.Background()
+	for _, mode := range []Mode{Timed, Functional} {
+		for _, tc := range []struct {
+			name     string
+			from, to Source
+		}{
+			{"spec-to-tape", Source{Spec: &oltp}, Source{Tape: specTape}},
+			{"tape-to-spec", Source{Tape: specTape}, Source{Spec: &oltp}},
+			{"scenario-to-tape", Source{Scenario: &scn}, Source{Tape: scnTape}},
+			{"tape-to-scenario", Source{Tape: scnTape}, Source{Scenario: &scn}},
+		} {
+			from := RunSpec{Mode: mode, Config: cfg, Source: tc.from, Pref: PrefSpec{Kind: STMS}}
+			to := from
+			to.Source = tc.to
+			want, err := Run(ctx, to, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ckpts [][]byte
+			if _, err := Run(ctx, from, nil, WithCheckpointFunc(7000, func(data []byte) error {
+				ckpts = append(ckpts, append([]byte(nil), data...))
+				return nil
+			})); err != nil {
+				t.Fatal(err)
+			}
+			picks := sampleIndices(len(ckpts))
+			if len(picks) < 3 {
+				t.Fatalf("%s/%s: %d checkpoints, want at least 3", mode, tc.name, len(ckpts))
+			}
+			for _, k := range picks {
+				d, err := PeekCheckpoint(ckpts[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == picks[1] && d.Records <= max(split, cfg.WarmRecords)*uint64(cfg.Cores) {
+					t.Fatalf("%s/%s: mid-run checkpoint at %d records is not past the boundaries", mode, tc.name, d.Records)
+				}
+				got, err := Run(ctx, to, nil, WithResume(ckpts[k]))
+				if err != nil {
+					t.Fatalf("%s/%s: resume at %d records: %v", mode, tc.name, d.Records, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s/%s: resume at %d records diverged from the uninterrupted run", mode, tc.name, d.Records)
+				}
+			}
+		}
+	}
+}
+
 // resumeRun resumes sealed checkpoint bytes into the run their
 // descriptor names; tape serves tape-backed checkpoints.
 func resumeRun(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (Results, error) {
@@ -386,6 +449,21 @@ func TestResumeIdentityMismatch(t *testing.T) {
 	p125 := PrefSpec{Kind: STMS, SampleProb: 0.125}
 	p5 := PrefSpec{Kind: STMS, SampleProb: 0.5}
 	smp := Sampling{Windows: 2}
+	// Two scenarios named alike, sharing their first phase and their
+	// EffectiveSpec summary (the second phases have equal dirty
+	// fractions), differing in the second phase's workload. The
+	// checkpoint below (3000 records in, 750 per core) lies past the
+	// 250-record phase boundary.
+	em3d := spec(t, "sci-em3d")
+	em3d.DirtyFrac = oltp.DirtyFrac
+	probeTape := func(second trace.Spec) *trace.Tape {
+		scn := trace.Sequence("probe", trace.Phase{Records: 250, Spec: web}, trace.Phase{Spec: second})
+		return trace.NewScenarioTape(scn.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
+	}
+	probeA, probeB := probeTape(oltp), probeTape(em3d)
+	if probeA.Spec() != probeB.Spec() {
+		t.Fatal("probe scenarios should share their EffectiveSpec")
+	}
 	ctx := context.Background()
 	capture := func(run func(...RunOption) error) []byte {
 		t.Helper()
@@ -420,6 +498,10 @@ func TestResumeIdentityMismatch(t *testing.T) {
 		}},
 		{"other workload's tape", exact(tapeRun(Timed, cfg, webTape, p125)), func(data []byte) error {
 			_, err := resumeRun(ctx, data, oltpTape, nil)
+			return err
+		}},
+		{"other scenario's tape, past the phase boundary", exact(tapeRun(Timed, cfg, probeA, p125)), func(data []byte) error {
+			_, err := resumeRun(ctx, data, probeB, nil)
 			return err
 		}},
 		{"sampled, other workload", sampled(specRun(Timed, cfg, web, p125)), func(data []byte) error {

@@ -101,7 +101,7 @@ func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
 // sources, round-robin, one record per core per tick, closing the
 // sources on every exit path; marks, when non-nil, request per-phase
 // stat windows in the Results.
-func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, src ckptSrc, opts []RunOption) (Results, error) {
+func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, desc CheckpointDesc, opts []RunOption) (Results, error) {
 	defer func() {
 		for _, fs := range srcs {
 			fs.Close()
@@ -132,16 +132,13 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []tr
 	}
 	var start uint64
 	if opt.active() {
-		if err := ckptSupported(src, s.pref, ps); err != nil {
+		if err := ckptSupported(desc, s.pref, ps); err != nil {
 			return Results{}, err
 		}
 	}
 	if opt.resume != nil {
-		d, dec, err := openResume(opt.resume)
+		dec, err := desc.resume(opt.resume)
 		if err != nil {
-			return Results{}, err
-		}
-		if err := checkDesc(d, "functional", src, cfg, ps, scaled); err != nil {
 			return Results{}, err
 		}
 		if err := s.restoreFunc(dec, ls); err != nil {
@@ -170,7 +167,8 @@ loop:
 				select {
 				case <-opt.stopCh:
 					ls.i = i
-					d := descFor("functional", src, cfg, ps, scaled, i)
+					d := desc
+					d.Records = i
 					if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
 						return Results{}, err
 					}
@@ -184,7 +182,8 @@ loop:
 			// the warm-window snapshot for this index has not run yet —
 			// the resumed loop re-enters exactly here.
 			ls.i = i
-			d := descFor("functional", src, cfg, ps, scaled, i)
+			d := desc
+			d.Records = i
 			if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
 				return Results{}, err
 			}

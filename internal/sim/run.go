@@ -32,10 +32,23 @@ const (
 
 // String names the mode.
 func (m Mode) String() string {
-	if m == Functional {
+	switch m {
+	case Timed:
+		return "timed"
+	case Functional:
 		return "functional"
 	}
-	return "timed"
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// parseMode reads a mode back from its name.
+func parseMode(name string) (Mode, error) {
+	for _, m := range []Mode{Timed, Functional} {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown mode %q", name)
 }
 
 // SourceRun bundles externally produced per-core frame sources — a
@@ -104,12 +117,13 @@ type RunSpec struct {
 type genMaker func(skip, budget uint64) ([]trace.Generator, []trace.PhaseMark, error)
 
 // resolved is a RunSpec's source resolved once: the scaled trace
-// identity results are labelled with, how a resumed run rebuilds the
-// sources, and either a generator maker or the external stream.
+// identity results are labelled with, the checkpoint descriptor
+// template (zero for a Stream source, which cannot checkpoint), and
+// either a generator maker or the external stream.
 type resolved struct {
 	scaled  trace.Spec
 	perCore uint64 // records per core the sources deliver; 0 = unknown
-	src     ckptSrc
+	desc    CheckpointDesc
 	mk      genMaker   // nil for a Stream source
 	stream  *SourceRun // non-nil for a Stream source
 }
@@ -125,19 +139,28 @@ func resolve(rs RunSpec) (resolved, error) {
 		return resolved{}, fmt.Errorf("sim: unknown mode %d", int(rs.Mode))
 	}
 	s := rs.Source
-	set := 0
-	for _, ok := range []bool{s.Spec != nil, s.Scenario != nil, s.Tape != nil, s.Stream != nil} {
-		if ok {
-			set++
+	if err := s.check(); err != nil {
+		return resolved{}, err
+	}
+	if s.Stream != nil {
+		if err := s.Stream.validate(cfg); err != nil {
+			return resolved{}, err
+		}
+		return resolved{scaled: s.Stream.Spec, perCore: s.Stream.PerCore, stream: s.Stream}, nil
+	}
+	total := cfg.WarmRecords + cfg.MeasureRecords
+	if s.Tape != nil {
+		if err := tapeFits(cfg, s.Tape, total); err != nil {
+			return resolved{}, err
 		}
 	}
-	if set != 1 {
-		return resolved{}, fmt.Errorf("sim: a run source sets exactly one of Spec, Scenario, Tape and Stream (%d set)", set)
+	desc, err := rs.desc(nil)
+	if err != nil {
+		return resolved{}, err
 	}
 	// Every generator is capped at its budget, mirroring the tape's
 	// CursorN, so frame boundaries — and Results.Frames — are identical
 	// across drivers and trace substrates.
-	total := cfg.WarmRecords + cfg.MeasureRecords
 	switch {
 	case s.Spec != nil:
 		spec := *s.Spec
@@ -151,7 +174,7 @@ func resolve(rs RunSpec) (resolved, error) {
 			gens, err := limited(gens, skip, budget)
 			return gens, nil, err
 		}
-		return resolved{scaled: scaled, perCore: total, src: ckptSrc{kind: "spec", spec: spec}, mk: mk}, nil
+		return resolved{scaled: scaled, perCore: total, desc: desc, mk: mk}, nil
 	case s.Scenario != nil:
 		scn := *s.Scenario
 		scaled := scn.Scaled(cfg.Scale)
@@ -166,13 +189,9 @@ func resolve(rs RunSpec) (resolved, error) {
 			gens, err = limited(gens, skip, budget)
 			return gens, marks, err
 		}
-		return resolved{scaled: scaled.EffectiveSpec(cfg.Cores, total), perCore: total,
-			src: ckptSrc{kind: "scenario", scn: scn}, mk: mk}, nil
-	case s.Tape != nil:
+		return resolved{scaled: scaled.EffectiveSpec(cfg.Cores, total), perCore: total, desc: desc, mk: mk}, nil
+	default:
 		tape := s.Tape
-		if err := tapeFits(cfg, tape, total); err != nil {
-			return resolved{}, err
-		}
 		// Cursors decode from the head of each core's column — the tape
 		// has no random access — so very large K over very long tapes
 		// pays quadratic decode work; decode is ~100× cheaper than
@@ -189,12 +208,7 @@ func resolve(rs RunSpec) (resolved, error) {
 			}
 			return gens, tape.Marks(), nil
 		}
-		return resolved{scaled: tape.Spec(), perCore: total, src: ckptSrc{kind: "tape"}, mk: mk}, nil
-	default:
-		if err := s.Stream.validate(cfg); err != nil {
-			return resolved{}, err
-		}
-		return resolved{scaled: s.Stream.Spec, perCore: s.Stream.PerCore, src: ckptSrc{kind: "external"}, stream: s.Stream}, nil
+		return resolved{scaled: tape.Spec(), perCore: total, desc: desc, mk: mk}, nil
 	}
 }
 
@@ -276,9 +290,9 @@ func (r resolved) run(ctx context.Context, rs RunSpec, progress Progress, opts [
 		return Results{}, err
 	}
 	if rs.Mode == Functional {
-		return runFunctional(ctx, rs.Config, r.scaled, srcs, marks, rs.Pref, progress, r.src, opts)
+		return runFunctional(ctx, rs.Config, r.scaled, srcs, marks, rs.Pref, progress, r.desc, opts)
 	}
-	return runTimed(ctx, rs.Config, r.scaled, srcs, marks, rs.Pref, progress, r.perCore*uint64(rs.Config.Cores), r.src, opts)
+	return runTimed(ctx, rs.Config, r.scaled, srcs, marks, rs.Pref, progress, r.perCore*uint64(rs.Config.Cores), r.desc, opts)
 }
 
 // RunTimedTapeCtx is Run in timed mode over a tape.

@@ -273,23 +273,6 @@ func (s *timed) applyWarm(snap *ckpt.Snapshot) error {
 
 // --- sampled checkpoint container ------------------------------------------
 
-// sampledDesc heads a sampled checkpoint container: everything needed
-// to rebuild the sampled run.
-type sampledDesc struct {
-	Mode     string          `json:"mode"`   // "sampled"
-	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
-	Cfg      Config          `json:"cfg"`
-	PS       PrefSpec        `json:"ps"`
-	Spec     *trace.Spec     `json:"spec,omitempty"`
-	Scenario *trace.Scenario `json:"scenario,omitempty"`
-	Smp      Sampling        `json:"sampling"`
-}
-
-// desc is the sampled descriptor's run identity in CheckpointDesc form.
-func (d sampledDesc) desc() CheckpointDesc {
-	return CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS, Spec: d.Spec, Scenario: d.Scenario}
-}
-
 // Per-window slot states in a sampled container.
 const (
 	slotNone    uint8 = iota // window not started (or no checkpoint yet)
@@ -304,7 +287,7 @@ const (
 type sampledCkpt struct {
 	mu     sync.Mutex
 	opt    runOpts // sampled-level options (path/sink/every/haltAfter)
-	desc   []byte  // marshaled sampledDesc
+	desc   []byte  // marshaled CheckpointDesc of the sampled run
 	state  []byte  // per-window slot states
 	slots  [][]byte
 	writes int
@@ -377,24 +360,27 @@ func (c *sampledCkpt) finish(w int, res Results) error {
 }
 
 // openSampled unpacks a sealed sampled container.
-func openSampled(data []byte) (sampledDesc, []byte, [][]byte, error) {
+func openSampled(data []byte) (CheckpointDesc, []byte, [][]byte, error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
 	dec := ckpt.NewDecoder(payload)
 	dec.Section("sim.sampled")
 	j := dec.Bytes()
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
+		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
 	}
-	var d sampledDesc
+	var d CheckpointDesc
 	if err := json.Unmarshal(j, &d); err != nil {
-		return sampledDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
+		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
+	}
+	if d.Sampling == nil {
+		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: sampled checkpoint descriptor records no sampling parameters")
 	}
 	n := dec.Int()
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
 	state := make([]byte, n)
 	slots := make([][]byte, n)
@@ -403,7 +389,7 @@ func openSampled(data []byte) (sampledDesc, []byte, [][]byte, error) {
 		slots[w] = dec.Bytes()
 	}
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
 	return d, state, slots, nil
 }
@@ -422,7 +408,7 @@ func PeekSampled(data []byte) (Sampling, CheckpointDesc, int, error) {
 			done++
 		}
 	}
-	return d.Smp, d.desc(), done, nil
+	return *d.Sampling, d, done, nil
 }
 
 // --- entry points ----------------------------------------------------------
@@ -490,6 +476,9 @@ func RunSampled(ctx context.Context, rs RunSpec, smp Sampling, progress Progress
 	if !CheckpointablePref(rs.Pref) {
 		return SampledResults{}, fmt.Errorf("sim: the %s variant is not sampleable (warm state cannot be snapshotted)", rs.Pref.Kind)
 	}
+	if r.desc, err = rs.desc(&smp); err != nil {
+		return SampledResults{}, err
+	}
 	return runSampled(ctx, rs.Config, rs.Pref, smp, progress, r, opts)
 }
 
@@ -509,9 +498,7 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	scaled := r.scaled
-	d := descFor("sampled", r.src, cfg, ps, scaled, 0)
-	desc := sampledDesc{Mode: d.Mode, Source: d.Source, Cfg: cfg, PS: ps, Spec: d.Spec, Scenario: d.Scenario, Smp: smp}
+	scaled, desc := r.scaled, r.desc
 	opt := gatherOpts(opts)
 	plan := windowPlan(cfg, smp)
 	k := len(plan)
@@ -524,7 +511,7 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 		if err != nil {
 			return SampledResults{}, err
 		}
-		if err := checkSampledDesc(d, desc); err != nil {
+		if err := desc.check(d); err != nil {
 			return SampledResults{}, err
 		}
 		if len(st) != k {
@@ -571,7 +558,6 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 		}
 	}
 
-	wsrc := ckptSrc{kind: "window:" + r.src.kind}
 	results := make([]Results, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -590,7 +576,7 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 		wg.Add(1)
 		go func(w int, resume []byte) {
 			defer wg.Done()
-			results[w], errs[w] = runOneWindow(ctx2, cfg, scaled, ps, plan[w], wsrc, r.mk, sc, w, resume, opt.stopCh, progFor(w))
+			results[w], errs[w] = runOneWindow(ctx2, cfg, scaled, ps, plan[w], desc, r.mk, sc, w, resume, opt.stopCh, progFor(w))
 			switch {
 			case errs[w] == nil:
 				if sc != nil {
@@ -642,20 +628,10 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 	return stitchSampled(ps, smp, scaled, plan, results), nil
 }
 
-// checkSampledDesc validates a resume descriptor against the run being
-// restored into.
-func checkSampledDesc(d, want sampledDesc) error {
-	if err := sameRun(d.desc(), want.desc()); err != nil {
-		return err
-	}
-	if d.Smp != want.Smp {
-		return fmt.Errorf("sim: sampled checkpoint parameters %+v do not match the run's %+v", d.Smp, want.Smp)
-	}
-	return nil
-}
-
-// runOneWindow warms and runs one window's detailed simulation.
-func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec, g windowGeom, wsrc ckptSrc, mk genMaker, sc *sampledCkpt, w int, resume []byte, stopCh <-chan struct{}, progress Progress) (Results, error) {
+// runOneWindow warms and runs one window's detailed simulation. Window
+// checkpoints carry the sampled run's descriptor: they live only in
+// that run's container, at their window's slot.
+func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec, g windowGeom, desc CheckpointDesc, mk genMaker, sc *sampledCkpt, w int, resume []byte, stopCh <-chan struct{}, progress Progress) (Results, error) {
 	cfgW := cfg
 	cfgW.WarmRecords = g.warm
 	cfgW.MeasureRecords = g.length
@@ -699,7 +675,7 @@ func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpe
 	for i, gen := range gens {
 		srcs[i] = trace.AutoFrames(gen)
 	}
-	return runTimed(ctx, cfgW, scaled, srcs, nil, ps, progress, (g.warm+g.length)*uint64(cfg.Cores), wsrc, wopts)
+	return runTimed(ctx, cfgW, scaled, srcs, nil, ps, progress, (g.warm+g.length)*uint64(cfg.Cores), desc, wopts)
 }
 
 // addEngineCounts is the element-wise sum (the Sub counterpart, used

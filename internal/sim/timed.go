@@ -25,9 +25,9 @@ type timed struct {
 	spec trace.Spec
 	ps   PrefSpec
 
-	// Checkpointing: how the trace sources were built (for the resume
-	// descriptor), the run's checkpoint options, and trigger state.
-	src      ckptSrc
+	// Checkpointing: the run's descriptor template (its identity key
+	// and how to rebuild it), checkpoint options, and trigger state.
+	desc     CheckpointDesc
 	opt      runOpts
 	nextCkpt uint64
 	ckptN    int
@@ -240,7 +240,7 @@ func (e timedEnv) OnChip(core int, blk uint64) bool {
 // frame sources, closing them on every exit path (an aborted run must
 // not leak producers); marks, when non-nil, request per-phase stat
 // windows in the Results.
-func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, totalRecs uint64, src ckptSrc, opts []RunOption) (Results, error) {
+func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, totalRecs uint64, desc CheckpointDesc, opts []RunOption) (Results, error) {
 	defer func() {
 		for _, fs := range srcs {
 			fs.Close()
@@ -253,7 +253,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 		cfg:         cfg,
 		spec:        spec,
 		ps:          ps,
-		src:         src,
+		desc:        desc,
 		opt:         gatherOpts(opts),
 		ctx:         ctx,
 		progress:    progress,
@@ -281,7 +281,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 	if s.opt.active() {
 		// Fail fast: unsupported configurations refuse checkpoint
 		// requests up front rather than at the first boundary.
-		if err := ckptSupported(src, s.pref, ps); err != nil {
+		if err := ckptSupported(desc, s.pref, ps); err != nil {
 			return Results{}, err
 		}
 	}
@@ -289,11 +289,8 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 		// Resumed run: all pending events (including the cores' own
 		// dispatch steps) come back with the engine snapshot, so the
 		// cores must not be started again.
-		d, dec, err := openResume(s.opt.resume)
+		dec, err := desc.resume(s.opt.resume)
 		if err != nil {
-			return Results{}, err
-		}
-		if err := checkDesc(d, "timed", src, cfg, ps, spec); err != nil {
 			return Results{}, err
 		}
 		if err := s.restore(dec); err != nil {

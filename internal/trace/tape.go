@@ -25,6 +25,8 @@ package trace
 //   - Dep: a bitset, one bit per record.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 )
@@ -193,6 +195,29 @@ func (c *tapeColumns) footprint() int64 {
 	return int64(len(c.data)) + int64(len(c.pairs))*8 +
 		int64(len(c.pcDict))*4 + int64(len(c.pcIdx)) +
 		int64(len(c.pcRaw))*4 + int64(len(c.dep))*8
+}
+
+// TapeKey is the content address of a trace identity: the hex sha256 of
+// (scaled spec or scenario, seed, cores, per-core record budget) —
+// everything that determines a materialized tape, and nothing that
+// does not. Exactly one of spec (already scaled) and scenarioKey (a
+// scaled Scenario.Key) is meaningful; the other is its zero value.
+// Addresses name tapes in every store tier and on disk, so the
+// formula is part of the on-disk format.
+func TapeKey(spec Spec, scenarioKey string, seed uint64, cores int, perCore uint64) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("spec=%+v|scn=%s|seed=%d|cores=%d|per=%d",
+		spec, scenarioKey, seed, cores, perCore)))
+	return hex.EncodeToString(sum[:])
+}
+
+// Key re-derives the tape's content address from the identity it
+// carries, so a store tier that receives a tape can verify the address
+// instead of trusting the name it arrived under.
+func (t *Tape) Key() string {
+	if t.scenario != nil {
+		return TapeKey(Spec{}, t.scenario.Key(), t.seed, len(t.cores), t.perCore)
+	}
+	return TapeKey(t.spec, "", t.seed, len(t.cores), t.perCore)
 }
 
 // Spec returns the (scaled) workload spec the tape was generated from;

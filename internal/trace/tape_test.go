@@ -218,3 +218,29 @@ func TestTapeFileRejectsCorruption(t *testing.T) {
 		t.Fatal("record magic not detected")
 	}
 }
+
+// TestTapeKeyGolden pins the tape address formula: addresses name
+// tapes in WithTapeDir and -tape-dir stores, so a changed formula would
+// silently orphan every tape on disk.
+func TestTapeKeyGolden(t *testing.T) {
+	spec, err := ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := ScenarioByName("phase-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"spec", TapeKey(spec.Scaled(0.0625), "", 42, 4, 10000),
+			"986fe9537e3a21fc7e52abd509a7d865e58f2430f8c32cc803339c56bacabe56"},
+		{"scenario", TapeKey(Spec{}, scn.Scaled(0.0625).Key(), 42, 4, 10000),
+			"c75c9bf1d28106cbb03b30fcdab6d304e66005813bc1096a2b18bf24f714938e"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s tape address %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}
