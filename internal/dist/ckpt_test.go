@@ -247,7 +247,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 
 	// Harvest a genuine checkpoint for the job.
 	var snap []byte
-	_, _, _, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{
+	_, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{
 		Every: 500,
 		Sink:  func(data []byte) error { snap = data; return nil },
 	})
@@ -262,10 +262,11 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, resumed, err := ExecuteJob(context.Background(), other, store, nil, nil, &ExecOptions{Resume: snap})
+	r, err := ExecuteJob(context.Background(), other, store, nil, nil, &ExecOptions{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, resumed := r.Res, r.Resumed
 	if resumed || !reflect.DeepEqual(res, wantOther) {
 		t.Fatalf("mismatched resume: resumed %v, identical %v — a wrong-identity checkpoint restored", resumed, reflect.DeepEqual(res, wantOther))
 	}
@@ -273,19 +274,21 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	// A well-sealed container holding garbage likewise falls back to a
 	// from-scratch run, never wrong results.
 	garbage := ckpt.Seal([]byte("plausible-looking nonsense payload"))
-	res, _, resumed, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: garbage})
+	r, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: garbage})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, resumed = r.Res, r.Resumed
 	if resumed || !reflect.DeepEqual(res, want) {
 		t.Fatalf("garbage resume: resumed %v, identical %v", resumed, reflect.DeepEqual(res, want))
 	}
 
 	// The genuine checkpoint, for contrast, resumes bit-identically.
-	res, _, resumed, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: snap})
+	r, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, resumed = r.Res, r.Resumed
 	if !resumed || !reflect.DeepEqual(res, want) {
 		t.Fatalf("genuine resume: resumed %v, identical %v", resumed, reflect.DeepEqual(res, want))
 	}
@@ -302,13 +305,13 @@ func TestExecuteJobResumeAcrossSubstrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap []byte
-	_, from, _, err := ExecuteJob(context.Background(), job, NewStore(1<<30, ""), nil, nil, &ExecOptions{
+	r, err := ExecuteJob(context.Background(), job, NewStore(1<<30, ""), nil, nil, &ExecOptions{
 		Every: 1500,
 		Sink:  func(data []byte) error { snap = append([]byte(nil), data...); return nil },
 		Stop:  make(chan struct{}),
 	})
-	if err != nil || snap == nil || from != TapeBuilt {
-		t.Fatalf("checkpointing run: err %v, snapshot %v, tape %q", err, snap != nil, from)
+	if err != nil || snap == nil || r.TapeSource != TapeBuilt {
+		t.Fatalf("checkpointing run: err %v, snapshot %v, result %+v", err, snap != nil, r)
 	}
 	d, err := sim.PeekCheckpoint(snap)
 	if err != nil {
@@ -317,11 +320,10 @@ func TestExecuteJobResumeAcrossSubstrates(t *testing.T) {
 	if d.Source != "tape" {
 		t.Fatalf("checkpoint source %q, want a tape-backed checkpoint", d.Source)
 	}
-	res, from, resumed, err := ExecuteJob(context.Background(), job, nil, nil, nil, &ExecOptions{Resume: snap})
-	if err != nil {
+	if r, err = ExecuteJob(context.Background(), job, nil, nil, nil, &ExecOptions{Resume: snap}); err != nil {
 		t.Fatal(err)
 	}
-	if !resumed || from != TapeLive || !reflect.DeepEqual(res, want) {
-		t.Fatalf("storeless resume: resumed %v, tape %q, identical %v", resumed, from, reflect.DeepEqual(res, want))
+	if !r.Resumed || r.TapeSource != TapeLive || !reflect.DeepEqual(r.Res, want) {
+		t.Fatalf("storeless resume: resumed %v, tape %q, identical %v", r.Resumed, r.TapeSource, reflect.DeepEqual(r.Res, want))
 	}
 }

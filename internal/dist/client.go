@@ -199,8 +199,9 @@ func (w *stallWatch) stop() { w.timer.Stop() }
 // RunJob posts a job to the worker and consumes its event stream until
 // the terminal event, invoking onEvent (if non-nil) for every event —
 // including the terminal one — as it arrives. It returns the Result of
-// a "done" event; a "failed" event becomes a plain (non-transport)
-// error, and a stream that ends without a terminal event — cut,
+// a "done" event; a "failed" event, or a result that does not answer
+// the job (an exact result for a sampled job, or the reverse), becomes
+// a plain (non-transport) error, and a stream that ends without a terminal event — cut,
 // malformed, or silent past the stall window (ErrStalled) — is a
 // transport failure.
 func (c *Client) RunJob(ctx context.Context, job *Job, onEvent func(Event)) (*Result, error) {
@@ -262,6 +263,11 @@ func (c *Client) RunJob(ctx context.Context, job *Job, onEvent func(Event)) (*Re
 		case "done":
 			if ev.Result == nil || ev.Result.Version != ResultFormatVersion {
 				return nil, &TransportError{fmt.Errorf("dist: malformed done event from %s", c.base)}
+			}
+			// A well-formed result that does not answer the job is the
+			// worker's deterministic fault, not the network's.
+			if err := job.check(ev.Result); err != nil {
+				return nil, fmt.Errorf("%w (worker %s)", err, c.base)
 			}
 			return ev.Result, nil
 		case "failed":

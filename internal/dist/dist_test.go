@@ -38,7 +38,7 @@ func TestJobValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *good
-	bad.Version = 3
+	bad.Version = 4
 	if err := bad.Validate(); err == nil {
 		t.Error("wrong version accepted")
 	}
@@ -73,6 +73,36 @@ func TestJobValidate(t *testing.T) {
 	if err := v1.Validate(); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Errorf("version 1 job: %v, want a version rejection", err)
 	}
+
+	// A version 2 job (no sampling field) decodes whole, and is
+	// rejected by the version check too.
+	b, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 Job
+	if err := json.Unmarshal([]byte(strings.Replace(string(b), `"stms_job":3`, `"stms_job":2`, 1)), &v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.Validate(); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version 2 job: %v, want a version rejection", err)
+	}
+
+	// Sampling belongs to timed jobs of at least two windows; an exact
+	// job omits it.
+	for _, smp := range []sim.Sampling{{Windows: 1}, {}} {
+		bad = *good
+		bad.Sampling = &smp
+		if err := bad.Validate(); err == nil {
+			t.Errorf("job sampled at %+v accepted", smp)
+		}
+	}
+	bad = *good
+	bad.Sampling = &sim.Sampling{Windows: 2}
+	bad.Run.Mode = sim.Functional
+	if err := bad.Validate(); err == nil {
+		t.Error("sampled functional job accepted")
+	}
 }
 
 func TestJobJSONRoundTrip(t *testing.T) {
@@ -81,7 +111,8 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"stms_job":2`) || !strings.Contains(string(b), `"run":{"mode":"timed"`) {
+	if !strings.Contains(string(b), `"stms_job":3`) || !strings.Contains(string(b), `"run":{"mode":"timed"`) ||
+		strings.Contains(string(b), `"sampling"`) {
 		t.Fatalf("job document not versioned: %s", b)
 	}
 	var back Job
@@ -101,6 +132,32 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	}
 	if k1 != k2 {
 		t.Fatalf("run key changed across the wire: %s vs %s", k1, k2)
+	}
+
+	// A sampled job carries its Sampling across the wire and is
+	// addressed by the sampled run's identity, never the exact run's.
+	smpJob := *job
+	smpJob.Sampling = &sim.Sampling{Windows: 3, Confidence: 0.9}
+	b, err = json.Marshal(&smpJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"sampling":{"windows":3`) {
+		t.Fatalf("sampled job document lacks its sampling: %s", b)
+	}
+	var smpBack Job
+	if err := json.Unmarshal(b, &smpBack); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&smpJob, &smpBack) {
+		t.Fatalf("sampled job not identical after round trip:\n got %+v\nwant %+v", smpBack, smpJob)
+	}
+	ks1, err := smpJob.CkptKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks2, err := smpBack.CkptKey(); err != nil || ks1 != ks2 || ks1 == k1 {
+		t.Fatalf("sampled key %s → %s (%v), exact key %s: want stable and distinct", ks1, ks2, err, k1)
 	}
 
 	// A scenario run travels as its own versioned document and keeps
@@ -133,7 +190,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 		`{"mode":"timed","config":{},"pref":{},"spec":{},"scenario":{"stms_scenario":1,"name":"s","phases":[{}]}}`,
 		`{"mode":"timed","config":{},"pref":{},"scenario":{"stms_scenario":9,"name":"s","phases":[{}]}}`,
 	} {
-		if err := json.Unmarshal([]byte(`{"stms_job":2,"run":`+run+`}`), &sback); err == nil {
+		if err := json.Unmarshal([]byte(`{"stms_job":3,"run":`+run+`}`), &sback); err == nil {
 			t.Errorf("malformed run %s decoded", run)
 		}
 	}

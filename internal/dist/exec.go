@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"time"
 
 	"stms/internal/sim"
 	"stms/internal/trace"
@@ -52,40 +53,41 @@ func (o *ExecOptions) runOptions(job *Job) []sim.RunOption {
 	return opts
 }
 
-// ExecuteJob runs one cell job to completion, serving its record
-// stream from the store when one is given (fetch, usually a peer
-// lookup, feeds the store's miss path). The execution mirrors the
-// in-process lab's cell path exactly — same validation order, same
-// scaled identities, same sim.Run — which is what makes a remotely
-// executed matrix bit-identical to a local run.
+// ExecuteJob runs one cell job to completion — exact (sim.Run) or
+// sampled (sim.RunSampled) — serving its record stream from the store
+// when one is given (fetch, usually a peer lookup, feeds the store's
+// miss path). It is the only code that simulates a lab cell, whether
+// the lab runs it in process or a worker runs it for a coordinator,
+// which is what makes a remotely executed matrix bit-identical to a
+// local run. The Result's WallMS covers the simulation only, from the
+// moment the tape is in hand.
 //
 // exec (nil for a plain run) threads checkpointing through:
 // ExecOptions.Resume warm-starts the run when sim accepts it as this
-// job's checkpoint (resumed reports whether it did — a mismatched or
-// unrestorable checkpoint is discarded and the job runs cold, never
-// trusted), Every/Sink stream periodic checkpoints out, and Stop
-// requests a final checkpoint + sim.ErrCheckpointed for graceful
+// job's checkpoint (Result.Resumed reports whether it did — a
+// mismatched or unrestorable checkpoint is discarded and the job runs
+// cold, never trusted), Every/Sink stream periodic checkpoints out, and
+// Stop requests a final checkpoint + sim.ErrCheckpointed for graceful
 // shutdown. Because checkpoints are pure observation, results are
 // bit-identical with or without them, resumed or cold.
 func ExecuteJob(ctx context.Context, job *Job, store *Store,
 	fetch func(context.Context, string) (*trace.Tape, error), progress sim.Progress,
-	exec *ExecOptions) (sim.Results, TapeSource, bool, error) {
+	exec *ExecOptions) (*Result, error) {
 	if err := job.Validate(); err != nil {
-		return sim.Results{}, TapeLive, false, err
+		return nil, err
 	}
 	rs := job.Run
-
-	var from TapeSource = TapeLive
+	out := &Result{Version: ResultFormatVersion, TapeSource: TapeLive}
 	if store != nil {
-		// Validate before touching the store — sim.Run validates again,
-		// but only after the tape exists, and a job with a broken config
+		// Validate before touching the store — sim validates again, but
+		// only after the tape exists, and a job with a broken config
 		// must not cost a tape build.
 		if err := rs.Config.Validate(); err != nil {
-			return sim.Results{}, TapeLive, false, err
+			return nil, err
 		}
 		key, build, err := rs.TapeRecipe()
 		if err != nil {
-			return sim.Results{}, TapeLive, false, err
+			return nil, err
 		}
 		var fetchKey func(context.Context) (*trace.Tape, error)
 		if fetch != nil {
@@ -93,23 +95,38 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 		}
 		tape, tier, err := store.GetOrBuild(ctx, key, fetchKey, build)
 		if err != nil {
-			return sim.Results{}, tier, false, err
+			return nil, err
 		}
-		rs.Source, from = sim.Source{Tape: tape}, tier
+		rs.Source, out.TapeSource = sim.Source{Tape: tape}, tier
 	}
 
+	start := time.Now()
+	run := func(opts []sim.RunOption) (err error) {
+		if job.Sampling == nil {
+			out.Res, err = sim.Run(ctx, rs, progress, opts...)
+			return err
+		}
+		s, err := sim.RunSampled(ctx, rs, *job.Sampling, progress, opts...)
+		out.Res, out.Sampled = s.Results, &s
+		return err
+	}
 	base := exec.runOptions(job)
 	if exec != nil && len(exec.Resume) > 0 && sim.CheckpointablePref(rs.Pref) {
-		res, err := sim.Run(ctx, rs, progress, append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume))...)
+		err := run(append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume)))
 		switch {
 		case err == nil:
-			return res, from, true, nil
+			out.Resumed = true
 		case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
-			return res, from, true, err
+			return nil, err
 		}
-		// The checkpoint is corrupt, belongs to another run, or would
-		// not restore: discard it and fall through to a cold run.
+		// Any other failure means the checkpoint is corrupt, belongs to
+		// another run, or would not restore: discard it and run cold.
 	}
-	res, err := sim.Run(ctx, rs, progress, base...)
-	return res, from, false, err
+	if !out.Resumed {
+		if err := run(base); err != nil {
+			return nil, err
+		}
+	}
+	out.WallMS = float64(time.Since(start).Microseconds()) / 1000
+	return out, nil
 }

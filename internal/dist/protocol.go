@@ -22,9 +22,9 @@
 //     transport failures (retry on another worker) from job failures
 //     (deterministic; retrying elsewhere would fail identically).
 //
-// Every simulation a worker runs goes through the same sim.Run the
-// in-process lab uses, so a matrix executed across
-// workers is bit-identical to the same plan run locally.
+// Every lab cell, local or remote, exact or sampled, is simulated by
+// ExecuteJob, so a matrix executed across workers is bit-identical to
+// the same plan run locally.
 package dist
 
 import (
@@ -37,9 +37,10 @@ import (
 // Protocol format versions, stamped into and validated out of every
 // top-level JSON document, in the same style as scenario files
 // ({"stms_scenario":1,...}) and STMSTAPE headers. Job version 2 carries
-// the run as one sim.RunSpec document; workers reject version 1 jobs.
+// the run as one sim.RunSpec document; version 3 adds the Sampling of a
+// sampled cell. Workers reject older jobs.
 const (
-	JobFormatVersion    = 2
+	JobFormatVersion    = 3
 	EventFormatVersion  = 1
 	ResultFormatVersion = 1
 	HealthFormatVersion = 1
@@ -49,12 +50,15 @@ const (
 // result, in versioned JSON. Run is the cell's simulation in sim's
 // canonical RunSpec encoding — its source a full-scale Spec
 // (Config.Scale applies at run, exactly as in an in-process lab cell)
-// or a Scenario; Workload and Variant only label it.
+// or a Scenario; Workload and Variant only label it. Sampling, set only
+// for a sampled cell, runs the job as sim.RunSampled with K > 1
+// windows instead of the exact sim.Run.
 type Job struct {
-	Version  int         `json:"stms_job"`
-	Workload string      `json:"workload"`
-	Variant  string      `json:"variant"`
-	Run      sim.RunSpec `json:"run"`
+	Version  int           `json:"stms_job"`
+	Workload string        `json:"workload"`
+	Variant  string        `json:"variant"`
+	Run      sim.RunSpec   `json:"run"`
+	Sampling *sim.Sampling `json:"sampling,omitempty"`
 }
 
 // Validate reports structural protocol errors (the simulation-level
@@ -68,18 +72,47 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("dist: job mode %d is neither timed nor functional", int(j.Run.Mode))
 	case (src.Spec == nil) == (src.Scenario == nil) || src.Tape != nil || src.Stream != nil:
 		return fmt.Errorf("dist: a job's workload is exactly one of a spec and a scenario")
+	case j.Sampling != nil && (j.Sampling.Windows < 2 || j.Run.Mode != sim.Timed):
+		return fmt.Errorf("dist: a sampled job is timed with at least 2 windows (exact jobs omit sampling)")
 	}
 	return nil
 }
 
 // CkptKey returns the content address of the job's checkpoint: its
-// run's identity (sim.RunSpec.Key). Unlike tapes, a checkpoint is only
-// meaningful to the exact run that wrote it (the serialized state
-// embeds the variant's tables and in-flight operations), so the
-// prefetcher spec is part of the address. One key names one run's
-// "latest checkpoint": each cadence overwrites the previous container.
+// run's identity (sim.RunSpec.Key, or SampledKey for a sampled job),
+// which is also the lab's memo key for the cell. Unlike tapes, a
+// checkpoint is only meaningful to the exact run that wrote it (the
+// serialized state embeds the variant's tables and in-flight
+// operations), so the prefetcher spec is part of the address. One key
+// names one run's "latest checkpoint": each cadence overwrites the
+// previous container.
 func (j *Job) CkptKey() (string, error) {
+	if j.Sampling != nil {
+		return j.Run.SampledKey(*j.Sampling)
+	}
 	return j.Run.Key()
+}
+
+// check verifies that a result answers this job: a sampled job's
+// result carries the sampled estimate at the job's normalized
+// sampling, an exact job's carries none.
+func (j *Job) check(r *Result) error {
+	switch {
+	case j.Sampling == nil && r.Sampled != nil:
+		return fmt.Errorf("dist: exact job %s/%s answered with a sampled estimate", j.Workload, j.Variant)
+	case j.Sampling == nil:
+		return nil
+	case r.Sampled == nil:
+		return fmt.Errorf("dist: sampled job %s/%s answered with an exact result", j.Workload, j.Variant)
+	}
+	want, err := j.CkptKey()
+	if err != nil {
+		return err
+	}
+	if got, err := j.Run.SampledKey(r.Sampled.Sampling); err != nil || got != want {
+		return fmt.Errorf("dist: sampled job %s/%s answered with an estimate at sampling %+v", j.Workload, j.Variant, r.Sampled.Sampling)
+	}
+	return nil
 }
 
 // TapeSource records which tier satisfied a job's tape: the worker's
@@ -98,13 +131,18 @@ const (
 
 // Result is a completed job: the full simulation Results (which
 // round-trip JSON losslessly, so the coordinator's matrix is
-// bit-identical to an in-process run) plus execution metadata.
+// bit-identical to an in-process run) plus execution metadata. A
+// sampled job's result also carries the full estimate in Sampled (per
+// window details, confidence intervals); Res is then its stitched
+// Results. WallMS is the simulation's wall time only, excluding the
+// tape build or fetch that preceded it.
 type Result struct {
-	Version    int         `json:"stms_result"`
-	Res        sim.Results `json:"results"`
-	TapeSource TapeSource  `json:"tape_source"`
-	Worker     string      `json:"worker,omitempty"`
-	WallMS     float64     `json:"wall_ms"`
+	Version    int                 `json:"stms_result"`
+	Res        sim.Results         `json:"results"`
+	Sampled    *sim.SampledResults `json:"sampled,omitempty"`
+	TapeSource TapeSource          `json:"tape_source"`
+	Worker     string              `json:"worker,omitempty"`
+	WallMS     float64             `json:"wall_ms"`
 	// Checkpoint accounting (additive in result version 1; absent on
 	// workers without checkpointing). Resumed reports that the worker
 	// restored the run from a checkpoint instead of starting cold;

@@ -294,17 +294,16 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	res, src, resumed, err := s.execute(r.Context(), &job, progress, exec)
-	wallMS := float64(time.Since(start).Microseconds()) / 1000
+	res, err := s.execute(r.Context(), &job, progress, exec)
 
 	s.mu.Lock()
 	switch {
 	case errors.Is(err, sim.ErrCheckpointed):
-		st.State, st.WallMS = "checkpointed", wallMS
+		st.State, st.WallMS = "checkpointed", float64(time.Since(start).Microseconds())/1000
 	case err != nil:
 		st.State, st.Error = "failed", err.Error()
 	default:
-		st.State, st.WallMS = "done", wallMS
+		st.State, st.WallMS = "done", res.WallMS
 	}
 	s.mu.Unlock()
 
@@ -316,21 +315,13 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 		emit(Event{Kind: "failed", Error: err.Error()})
 		return
 	}
-	emit(Event{Kind: "done", Result: &Result{
-		Version:    ResultFormatVersion,
-		Res:        res,
-		TapeSource: src,
-		Worker:     s.cfg.Name,
-		WallMS:     wallMS,
-		Resumed:    resumed,
-		CkptWrites: ckptWrites,
-		CkptBytes:  ckptBytes,
-	}})
+	res.Worker, res.CkptWrites, res.CkptBytes = s.cfg.Name, ckptWrites, ckptBytes
+	emit(Event{Kind: "done", Result: res})
 }
 
 // execute contains panics to the failing job, like the lab's cell
 // runner does — a worker must survive a malformed cell.
-func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, exec *ExecOptions) (res sim.Results, src TapeSource, resumed bool, err error) {
+func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, exec *ExecOptions) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dist: job %s/%s panicked: %v", job.Workload, job.Variant, r)

@@ -346,7 +346,7 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// run under -race, perturbing the exact resume counters.
 	seed := testLab(t, WithWorkers(urls), WithManifest(path))
 	plan := seed.Plan(workloads, prefs)
-	job := &dist.Job{Version: dist.JobFormatVersion, Run: plan.Cells[0].runSpec()}
+	job := plan.Cells[0].job()
 	ckptKey, err := plan.Cells[0].key()
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// Manufacture the dead session's leavings: a genuine mid-run
 	// checkpoint parked on a worker, and the manifest recording it.
 	var snap []byte
-	if _, _, _, err := dist.ExecuteJob(context.Background(), job, dist.NewStore(1<<30, ""), nil, nil, &dist.ExecOptions{
+	if _, err := dist.ExecuteJob(context.Background(), job, dist.NewStore(1<<30, ""), nil, nil, &dist.ExecOptions{
 		Every: 500,
 		Sink:  func(data []byte) error { snap = append([]byte(nil), data...); return nil },
 		Stop:  make(chan struct{}),
@@ -369,13 +369,13 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seed.recordPartial(ckptKey, ckptKey)
+	seed.recordPartial(ckptKey)
 
 	// The restarted session: the proactive sweep fetches the checkpoint
 	// and the first attempt resumes.
 	resumed := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := resumed.partialCkpt(ckptKey); got != ckptKey {
-		t.Fatalf("restarted session loaded partial %q, want %q", got, ckptKey)
+	if !resumed.partial(ckptKey) {
+		t.Fatalf("restarted session did not load partial %q", ckptKey)
 	}
 	rm, err := resumed.Run(context.Background(), resumed.Plan(workloads, prefs))
 	if err != nil {
@@ -398,8 +398,8 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// Completion supersedes the partial: a third session neither resumes
 	// nor re-runs the cell.
 	third := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := third.partialCkpt(ckptKey); got != "" {
-		t.Fatalf("completed cell still partial (%q) in a fresh session", got)
+	if third.partial(ckptKey) {
+		t.Fatalf("completed cell %q still partial in a fresh session", ckptKey)
 	}
 	if got := third.MemoSize(); got != 1 {
 		t.Fatalf("third session preloaded %d cells, want 1", got)

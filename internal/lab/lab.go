@@ -43,11 +43,10 @@ type Lab struct {
 	onEvent  func(ResultEvent)
 
 	mu       sync.Mutex
-	memo     map[string]*sim.Results
-	memoSmp  map[string]*sim.SampledResults // sampled-cell estimates (session-local)
-	partials map[string]string              // cell key → checkpoint address of a partial cell
-	tapes    *dist.Store                    // nil = tape caching disabled (live generation)
-	simNS    int64                          // cumulative cell simulation time, excluding tape access
+	memo     map[string]outcome
+	partials map[string]bool // keys of cells a prior session left a checkpoint for
+	tapes    *dist.Store     // nil = tape caching disabled (live generation)
+	simNS    int64           // cumulative cell simulation time (dist.Result.WallMS)
 
 	tapeBytes    int64  // resolved WithTapeCache budget
 	tapeDir      string // resolved WithTapeDir directory
@@ -70,9 +69,8 @@ func New(opts ...Option) (*Lab, error) {
 	l := &Lab{
 		base:      sim.DefaultConfig(),
 		par:       runtime.NumCPU(),
-		memo:      make(map[string]*sim.Results),
-		memoSmp:   make(map[string]*sim.SampledResults),
-		partials:  make(map[string]string),
+		memo:      make(map[string]outcome),
+		partials:  make(map[string]bool),
 		tapeBytes: defaultTapeCacheBytes,
 	}
 	for _, opt := range opts {
@@ -142,8 +140,8 @@ func WithWindows(warm, measure uint64) Option {
 // SampledResults (per-window details, confidence intervals). Windows <= 1
 // leaves cells exact; functional cells ignore sampling (it is a timed
 // concept). Sampled cells are memoized under a distinct key — their
-// estimates never collide with exact results — and always simulate
-// locally (worker pools run exact cells only). A manifest persists only
+// estimates never collide with exact results — and run on the session's
+// workers (WithWorkers) like exact cells. A manifest persists only
 // the stitched estimate, so a cell replayed from a prior session's
 // manifest has Res but no interval details.
 func WithSampling(smp sim.Sampling) Option {
@@ -308,59 +306,50 @@ func (l *Lab) MemoSize() int {
 	return len(l.memo)
 }
 
-func (l *Lab) lookup(key string) (*sim.Results, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r, ok := l.memo[key]
-	return r, ok
+// outcome is a memoized cell: its Results and, for a sampled cell run
+// in this session, the full estimate Res aliases (nil when the cell was
+// replayed from a prior session's manifest).
+type outcome struct {
+	Res     *sim.Results
+	Sampled *sim.SampledResults
 }
 
-func (l *Lab) store(key string, r *sim.Results) {
+func (l *Lab) lookup(key string) (outcome, bool) {
 	l.mu.Lock()
-	fresh := l.memo[key] == nil
-	l.memo[key] = r
+	defer l.mu.Unlock()
+	o, ok := l.memo[key]
+	return o, ok
+}
+
+func (l *Lab) store(key string, o outcome) {
+	l.mu.Lock()
+	_, done := l.memo[key]
+	l.memo[key] = o
 	delete(l.partials, key) // completed supersedes partial
 	l.mu.Unlock()
-	if fresh && l.manifest != nil {
-		l.manifest.append(key, r)
+	if !done && l.manifest != nil {
+		l.manifest.append(key, o.Res)
 	}
 }
 
-func (l *Lab) lookupSmp(key string) (*sim.SampledResults, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sr, ok := l.memoSmp[key]
-	return sr, ok
-}
-
-// storeSmp memoizes a sampled estimate: the full SampledResults for the
-// session, the stitched Results through the plain memo (and manifest,
-// when one is attached) under the same sampled key.
-func (l *Lab) storeSmp(key string, sr *sim.SampledResults) {
-	l.mu.Lock()
-	l.memoSmp[key] = sr
-	l.mu.Unlock()
-	l.store(key, &sr.Results)
-}
-
-// partialCkpt returns the checkpoint address recorded for a cell by a
-// prior (interrupted) session, or "".
-func (l *Lab) partialCkpt(key string) string {
+// partial reports whether a prior (interrupted) session recorded a
+// checkpoint for the cell.
+func (l *Lab) partial(key string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.partials[key]
 }
 
 // recordPartial remembers — in memory and in the manifest — that a
-// checkpoint for the cell exists at the given address, so a restarted
-// coordinator resumes the cell instead of starting it over. Duplicate
-// records for the same (cell, address) pair are suppressed.
-func (l *Lab) recordPartial(key, ckptKey string) {
+// checkpoint exists at the cell's key (also its checkpoint address), so
+// a restarted coordinator resumes the cell instead of starting it over.
+// Duplicate records are suppressed.
+func (l *Lab) recordPartial(key string) {
 	l.mu.Lock()
-	dup := l.partials[key] == ckptKey
-	l.partials[key] = ckptKey
+	dup := l.partials[key]
+	l.partials[key] = true
 	l.mu.Unlock()
 	if !dup && l.manifest != nil {
-		l.manifest.appendPartial(key, ckptKey)
+		l.manifest.appendPartial(key)
 	}
 }

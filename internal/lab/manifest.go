@@ -51,7 +51,7 @@ type manifestHeader struct {
 type manifestEntry struct {
 	Key  string       `json:"key"`
 	Res  *sim.Results `json:"results,omitempty"`
-	Ckpt string       `json:"ckpt,omitempty"` // checkpoint address (sim.RunSpec.Key) of a partial cell
+	Ckpt string       `json:"ckpt,omitempty"` // checkpoint address of a partial cell: its key again
 }
 
 // manifest is an open, append-only manifest file.
@@ -69,7 +69,7 @@ type manifest struct {
 // truncated final entry — the tail of a run killed mid-append — is
 // repaired away by atomically rewriting the file to its last complete
 // entry.
-func openManifest(path string, memo map[string]*sim.Results, partials map[string]string) (*manifest, error) {
+func openManifest(path string, memo map[string]outcome, partials map[string]bool) (*manifest, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lab: opening manifest: %w", err)
@@ -133,17 +133,13 @@ func openManifest(path string, memo map[string]*sim.Results, partials map[string
 				return nil, err
 			}
 		case e.Res != nil:
-			memo[e.Key] = e.Res
-			if partials != nil {
-				delete(partials, e.Key) // completed supersedes partial
-			}
+			memo[e.Key] = outcome{Res: e.Res}
+			delete(partials, e.Key) // completed supersedes partial
 			m.loaded++
 			good = dec.InputOffset()
 			continue
 		default:
-			if partials != nil {
-				partials[e.Key] = e.Ckpt
-			}
+			partials[e.Key] = true
 			good = dec.InputOffset()
 			continue
 		}
@@ -226,13 +222,13 @@ func (m *manifest) append(key string, r *sim.Results) {
 	}
 }
 
-// appendPartial records that a checkpoint for the cell exists at the
-// given address, so a restarted coordinator resumes the cell mid-run
-// instead of starting it over. Best-effort, like append.
-func (m *manifest) appendPartial(key, ckptKey string) {
+// appendPartial records that a checkpoint exists at the cell's key, so
+// a restarted coordinator resumes the cell mid-run instead of starting
+// it over. Best-effort, like append.
+func (m *manifest) appendPartial(key string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.enc.Encode(manifestEntry{Key: key, Ckpt: ckptKey}) == nil {
+	if m.enc.Encode(manifestEntry{Key: key, Ckpt: key}) == nil {
 		m.f.Sync()
 	}
 }

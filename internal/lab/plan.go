@@ -3,6 +3,7 @@ package lab
 import (
 	"fmt"
 
+	"stms/internal/dist"
 	"stms/internal/sim"
 	"stms/internal/trace"
 )
@@ -42,25 +43,30 @@ type Cell struct {
 	Scenario *trace.Scenario
 }
 
-// runSpec is the cell's simulation in sim terms.
-func (c *Cell) runSpec() sim.RunSpec {
-	rs := sim.RunSpec{Mode: c.Mode, Config: c.Config, Pref: c.Pref, Source: sim.Source{Scenario: c.Scenario}}
+// job is the cell as a distributed job — its simulation in sim terms,
+// sampled when the cell samples — the one form every cell executes in,
+// through dist.ExecuteJob, in process or on a worker.
+func (c *Cell) job() *dist.Job {
+	j := &dist.Job{Version: dist.JobFormatVersion, Workload: c.Workload, Variant: c.Label,
+		Run: sim.RunSpec{Mode: c.Mode, Config: c.Config, Pref: c.Pref, Source: sim.Source{Scenario: c.Scenario}}}
 	if c.Scenario == nil {
 		spec := c.Spec
-		rs.Source.Spec = &spec
+		j.Run.Source.Spec = &spec
 	}
-	return rs
+	if c.Sampling.Windows > 1 {
+		smp := c.Sampling
+		j.Sampling = &smp
+	}
+	return j
 }
 
 // key identifies the cell by everything that determines its result:
-// its run's identity (sim.RunSpec.Key), or the sampled run's identity
-// for a sampled cell, so an estimate never collides with an exact
-// result. Deterministic simulation makes memoization by this key exact.
+// its job's checkpoint address — the run's identity (sim.RunSpec.Key),
+// or the sampled run's identity for a sampled cell, so an estimate
+// never collides with an exact result. Deterministic simulation makes
+// memoization by this key exact.
 func (c *Cell) key() (string, error) {
-	if c.Sampling.Windows > 1 {
-		return c.runSpec().SampledKey(c.Sampling)
-	}
-	return c.runSpec().Key()
+	return c.job().CkptKey()
 }
 
 // RunPlan is an executable workload × variant cross-product. Build one

@@ -21,7 +21,7 @@ package lab
 //     function of (worker URL, tape key) and the breaker only gates it,
 //     a recovered worker rejoins exactly its old affinity positions;
 //   - when every attempt fails the cell degrades gracefully to
-//     in-process simulation, so a matrix always completes — but never
+//     in-process execution, so a matrix always completes — but never
 //     silently: the per-attempt errors are aggregated into the cell's
 //     ResultEvent note and the session's RemoteStats counters.
 //
@@ -237,13 +237,11 @@ func (a *attemptLog) String() string {
 		fmt.Sprintf("; (+%d more attempts)", len(a.entries)-max)
 }
 
-// run executes one cell remotely. It makes up to Resilience.RetryRounds
-// passes over the affinity ranking, backing off between passes, gating
-// each attempt through the worker's circuit breaker, and falling back
-// to local simulation when every attempt fails. The returned duration
-// is the cell's non-simulation overhead (coordinator wall minus the
-// worker-measured simulation time, or tape wait when local); the
-// returned note records any degradation.
+// run executes one cell's job remotely. It makes up to
+// Resilience.RetryRounds passes over the affinity ranking, backing off
+// between passes, gating each attempt through the worker's circuit
+// breaker, and falling back to in-process execution when every attempt
+// fails. The returned note records any degradation.
 //
 // Failures cost the tail of the cell, not the cell: after a transport
 // failure the coordinator fetches the dead attempt's latest checkpoint
@@ -253,23 +251,21 @@ func (a *attemptLog) String() string {
 // Checkpoints are validated at every hop and discarded on any
 // mismatch — a bad checkpoint can cost a cold restart, never a wrong
 // result.
-func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, time.Duration, string, error) {
-	start := time.Now()
-	job := &dist.Job{Version: dist.JobFormatVersion, Workload: cell.Workload, Variant: cell.Label, Run: cell.runSpec()}
+func (p *remotePool) run(ctx context.Context, l *Lab, job *dist.Job) (*dist.Result, string, error) {
 	key, _, err := job.Run.TapeRecipe()
 	if err != nil {
-		return sim.Results{}, 0, "", err
+		return nil, "", err
 	}
 	ranking := p.rank(key)
 	var log attemptLog
 
 	// held is the freshest valid checkpoint the coordinator has
 	// exchanged for this cell; adopt keeps the best one of this run. A
-	// remote cell is exact, so its checkpoint address is also its key
-	// in the memo and manifest.
+	// job's checkpoint address is also the cell's key in the memo and
+	// manifest.
 	ckptKey, err := job.CkptKey()
 	if err != nil {
-		return sim.Results{}, 0, "", err
+		return nil, "", err
 	}
 	var held []byte
 	var heldRecs uint64
@@ -282,7 +278,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 			return false
 		}
 		held, heldRecs = data, d.Records
-		l.recordPartial(ckptKey, ckptKey)
+		l.recordPartial(ckptKey)
 		return true
 	}
 	fetchCkpt := func(c *dist.Client) bool {
@@ -300,7 +296,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	// sweep the ranking for it before the first attempt, so the
 	// restarted coordinator resumes the partial cell instead of
 	// starting it over.
-	if pk := l.partialCkpt(ckptKey); pk == ckptKey {
+	if l.partial(ckptKey) {
 		for _, c := range ranking {
 			if ctx.Err() != nil || fetchCkpt(c) {
 				break
@@ -315,12 +311,12 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return sim.Results{}, 0, "", ctx.Err()
+				return nil, "", ctx.Err()
 			}
 		}
 		for _, c := range ranking {
 			if ctx.Err() != nil {
-				return sim.Results{}, 0, "", ctx.Err()
+				return nil, "", ctx.Err()
 			}
 			b := p.breakers[c]
 			switch b.Gate(time.Now()) {
@@ -365,14 +361,6 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 						s.ResumeWall += time.Duration(r.WallMS * float64(time.Millisecond))
 					}
 				})
-				// Satellite accounting fix: the worker measured its own
-				// simulation time (Result.WallMS); everything else the
-				// coordinator waited through — dial, queueing, retries,
-				// tape movement — is overhead, not simulation.
-				overhead := time.Since(start) - time.Duration(r.WallMS*float64(time.Millisecond))
-				if overhead < 0 {
-					overhead = 0
-				}
 				note := ""
 				switch {
 				case len(log.entries) > 0 && r.Resumed:
@@ -384,13 +372,14 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 				case r.Resumed:
 					note = fmt.Sprintf("resumed from checkpoint on %s", c.URL())
 				}
-				return r.Res, overhead, note, nil
+				return r, note, nil
 			}
 			if !dist.IsTransport(err) {
 				// The job itself failed (or the worker rejected it
-				// deterministically — bad structure, bad credentials);
-				// retrying elsewhere would fail identically.
-				return sim.Results{}, 0, log.String(), err
+				// deterministically — bad structure, bad credentials,
+				// a result that does not answer the job); retrying
+				// elsewhere would fail identically.
+				return nil, log.String(), err
 			}
 			p.count(func(s *RemoteStats) {
 				s.Retries++
@@ -423,27 +412,20 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 		}
 	}
 	p.count(func(s *RemoteStats) { s.LocalCells++ })
-	if held != nil {
-		res, _, resumed, rerr := dist.ExecuteJob(ctx, job, l.tapes, nil, nil, &dist.ExecOptions{Resume: held})
-		if rerr == nil {
-			if resumed {
-				p.count(func(s *RemoteStats) { s.CkptResumes++ })
-			}
-			note := fmt.Sprintf("degraded to local after %d failed remote attempts", len(log.entries))
-			if resumed {
-				note += fmt.Sprintf(", resumed from the exchanged checkpoint (%d records in)", heldRecs)
-			}
-			if len(log.entries) > 0 {
-				note += ": " + log.String()
-			}
-			return res, 0, note, nil
-		}
+	r, err := dist.ExecuteJob(ctx, job, l.tapes, nil, nil, &dist.ExecOptions{Resume: held})
+	resumed := err == nil && r.Resumed
+	if resumed {
+		p.count(func(s *RemoteStats) { s.CkptResumes++ })
 	}
 	note := ""
-	if len(log.entries) > 0 {
-		note = fmt.Sprintf("degraded to local after %d failed remote attempts: %s",
-			len(log.entries), log.String())
+	if len(log.entries) > 0 || resumed {
+		note = fmt.Sprintf("degraded to local after %d failed remote attempts", len(log.entries))
+		if resumed {
+			note += fmt.Sprintf(", resumed from the exchanged checkpoint (%d records in)", heldRecs)
+		}
+		if len(log.entries) > 0 {
+			note += ": " + log.String()
+		}
 	}
-	res, _, tapeWait, err := l.simulate(ctx, cell)
-	return res, tapeWait, note, err
+	return r, note, err
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stms/internal/dist"
 	"stms/internal/sim"
 )
 
@@ -87,15 +88,9 @@ func (l *Lab) Run(ctx context.Context, p *RunPlan) (*Matrix, error) {
 			continue
 		}
 		st.keys[i] = key
-		if sr, ok := l.lookupSmp(key); ok {
-			m.Cells[i].Res = &sr.Results
-			m.Cells[i].Sampled = sr
-			st.emit(ResultEvent{Kind: CellFinished, Cell: cell, Res: &sr.Results})
-			continue
-		}
-		if res, ok := l.lookup(key); ok {
-			m.Cells[i].Res = res
-			st.emit(ResultEvent{Kind: CellFinished, Cell: cell, Res: res})
+		if o, ok := l.lookup(key); ok {
+			m.Cells[i].Res, m.Cells[i].Sampled = o.Res, o.Sampled
+			st.emit(ResultEvent{Kind: CellFinished, Cell: cell, Res: o.Res})
 			continue
 		}
 		if r, ok := rep[key]; ok {
@@ -140,61 +135,19 @@ feed:
 	return m, m.Err()
 }
 
-// dispatch routes a cell to the session's worker pool when one is
-// configured (WithWorkers) and to in-process simulation otherwise.
-// Either path produces bit-identical results; the remote pool itself
-// degrades to simulate when every attempt fails. The duration is the
-// cell's non-simulation overhead (tape access locally; network,
-// queueing and retries remotely) and the note records any remote
-// degradation for the progress stream. Sampled cells always simulate
-// locally: their parallelism is the window fan-out itself, and the
-// worker protocol ships exact results only.
-func (l *Lab) dispatch(ctx context.Context, cell *Cell) (sim.Results, *sim.SampledResults, time.Duration, string, error) {
-	if l.remote == nil || cell.Sampling.Windows > 1 {
-		res, sr, tapeWait, err := l.simulate(ctx, cell)
-		return res, sr, tapeWait, "", err
+// dispatch runs a cell's job on the session's worker pool when one is
+// configured (WithWorkers) and in process otherwise. Both paths execute
+// it through dist.ExecuteJob, so either produces bit-identical results;
+// the remote pool itself degrades to in-process execution when every
+// attempt fails. The note records any remote degradation for the
+// progress stream.
+func (l *Lab) dispatch(ctx context.Context, cell *Cell) (*dist.Result, string, error) {
+	job := cell.job()
+	if l.remote == nil {
+		r, err := dist.ExecuteJob(ctx, job, l.tapes, nil, nil, nil)
+		return r, "", err
 	}
-	res, d, note, err := l.remote.run(ctx, l, cell)
-	return res, nil, d, note, err
-}
-
-// simulate executes one cell in process — the K-window sampled
-// estimate when the cell samples (sr non-nil), the exact run otherwise
-// — serving its record stream from the session tape store when enabled:
-// every cell with the same trace identity, sampled or exact, replays
-// one materialized tape. tapeWait is how much of the cell's wall time
-// went to tape access (building, or waiting on a sibling's build)
-// rather than simulation.
-func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, sr *sim.SampledResults, tapeWait time.Duration, err error) {
-	rs := cell.runSpec()
-	if l.tapes != nil {
-		// Validate before touching the tape store — sim validates again,
-		// but only after the tape exists, and a cell with a broken
-		// per-cell override must not cost a tape build.
-		if err := rs.Config.Validate(); err != nil {
-			return sim.Results{}, nil, 0, err
-		}
-		key, build, err := rs.TapeRecipe()
-		if err != nil {
-			return sim.Results{}, nil, 0, err
-		}
-		t0 := time.Now()
-		tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-		tapeWait = time.Since(t0)
-		if err != nil {
-			return sim.Results{}, nil, tapeWait, err
-		}
-		rs.Source = sim.Source{Tape: tape}
-	}
-	if cell.Sampling.Windows > 1 {
-		s, err := sim.RunSampled(ctx, rs, cell.Sampling, nil)
-		if err != nil {
-			return sim.Results{}, nil, tapeWait, err
-		}
-		return s.Results, &s, tapeWait, nil
-	}
-	res, err = sim.Run(ctx, rs, nil)
-	return res, nil, tapeWait, err
+	return l.remote.run(ctx, l, job)
 }
 
 // runState carries the per-Run bookkeeping shared by the workers.
@@ -232,27 +185,21 @@ func (st *runState) runCell(ctx context.Context, i int) {
 	st.emit(ResultEvent{Kind: CellStarted, Cell: cell})
 	start := time.Now()
 
-	var res sim.Results
-	var sr *sim.SampledResults
+	var r *dist.Result
 	var err error
-	var overhead time.Duration
 	var note string
 	func() {
 		// The simulator substrate panics on internal invariant breaks;
 		// contain those to the failing cell.
 		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("lab: cell %s/%s panicked: %v", cell.Workload, cell.Label, r)
+			if p := recover(); p != nil {
+				err = fmt.Errorf("lab: cell %s/%s panicked: %v", cell.Workload, cell.Label, p)
 			}
 		}()
-		res, sr, overhead, note, err = st.lab.dispatch(ctx, &cell)
+		r, note, err = st.lab.dispatch(ctx, &cell)
 	}()
 
 	cr.Wall = time.Since(start)
-	if overhead > cr.Wall {
-		overhead = cr.Wall
-	}
-	atomic.AddInt64(&st.lab.simNS, int64(cr.Wall-overhead))
 	if err != nil {
 		if ctx.Err() == nil {
 			// Real cell failure, not cancellation fallout: record it on
@@ -267,14 +214,15 @@ func (st *runState) runCell(ctx context.Context, i int) {
 		}
 		return
 	}
-	if sr != nil {
-		cr.Sampled = sr
-		cr.Res = &sr.Results
-		st.lab.storeSmp(st.keys[i], sr)
-	} else {
-		cr.Res = &res
-		st.lab.store(st.keys[i], cr.Res)
+	// One rule splits every cell's wall time, local or remote: the
+	// executor's WallMS is simulation, the rest (tape access, network,
+	// queueing, retries) is overhead.
+	atomic.AddInt64(&st.lab.simNS, int64(min(cr.Wall, time.Duration(r.WallMS*float64(time.Millisecond)))))
+	cr.Res, cr.Sampled = &r.Res, r.Sampled
+	if r.Sampled != nil {
+		cr.Res = &r.Sampled.Results
 	}
+	st.lab.store(st.keys[i], outcome{Res: cr.Res, Sampled: cr.Sampled})
 	st.emit(ResultEvent{Kind: CellFinished, Cell: cell, Res: cr.Res, Wall: cr.Wall, Note: note})
 	// Identical plan cells share the result without re-simulating.
 	for _, d := range st.dups[i] {

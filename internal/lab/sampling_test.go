@@ -3,10 +3,15 @@ package lab
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"stms/internal/dist"
 	"stms/internal/sim"
 )
 
@@ -165,5 +170,69 @@ func TestSampledMatchesDirectRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*cell.Sampled, want) {
 		t.Fatal("lab sampled cell differs from direct RunSampledCtx")
+	}
+}
+
+// TestSampledRemoteMatchesLocal: a sampled plan given WithWorkers runs
+// every cell on the workers, and each cell's Results and full
+// SampledResults are identical to the in-process run's.
+func TestSampledRemoteMatchesLocal(t *testing.T) {
+	smp := sim.Sampling{Windows: 3}
+	workloads := []string{"sci-em3d", "oltp-db2"}
+	prefs := []sim.PrefSpec{{Kind: sim.None}, {Kind: sim.STMS, SampleProb: 0.125}}
+
+	local := testLab(t, WithSampling(smp))
+	lm, err := local.Run(context.Background(), local.Plan(workloads, prefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, _ := testWorkers(t, 2)
+	remote := testLab(t, WithSampling(smp), WithWorkers(urls))
+	rm, err := remote.Run(context.Background(), remote.Plan(workloads, prefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lm.Cells {
+		lc, rc := lm.Cells[i], rm.Cells[i]
+		if lc.Sampled == nil || rc.Sampled == nil || rc.Res != &rc.Sampled.Results {
+			t.Fatalf("cell %d: sampled estimate missing or not aliased (local %v, remote %v)", i, lc.Sampled != nil, rc.Sampled != nil)
+		}
+		if !reflect.DeepEqual(lc.Res, rc.Res) || !reflect.DeepEqual(lc.Sampled, rc.Sampled) {
+			t.Fatalf("cell %d (%s/%s): remote sampled estimate differs from local", i, lc.Cell.Workload, lc.Cell.Label)
+		}
+	}
+	rs := remote.RemoteStats()
+	if int(rs.RemoteCells) != len(rm.Cells) || rs.LocalCells != 0 {
+		t.Fatalf("dispatch stats = %+v, want all %d cells remote", rs, len(rm.Cells))
+	}
+}
+
+// TestSampledMismatchedResultFailsCell: a worker that answers a sampled
+// job with an exact-shaped result fails the cell as a job failure — not
+// accepted, not retried elsewhere, not degraded to local.
+func TestSampledMismatchedResultFailsCell(t *testing.T) {
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/jobs" {
+			http.NotFound(w, r)
+			return
+		}
+		posts.Add(1)
+		json.NewEncoder(w).Encode(dist.Event{Version: dist.EventFormatVersion, Kind: "done",
+			Result: &dist.Result{Version: dist.ResultFormatVersion, TapeSource: dist.TapeLive}})
+	}))
+	defer ts.Close()
+
+	l := testLab(t, WithSampling(sim.Sampling{Windows: 3}), WithWorkers([]string{ts.URL, ts.URL + "/"}))
+	m, err := l.Run(context.Background(), l.Plan([]string{"sci-em3d"}, []sim.PrefSpec{{Kind: sim.None}}))
+	if err == nil || !strings.Contains(err.Error(), "answered with an exact result") {
+		t.Fatalf("run error %v, want the mismatched result to fail the cell", err)
+	}
+	if m.Cells[0].Res != nil {
+		t.Fatal("mismatched result accepted into the matrix")
+	}
+	rs := l.RemoteStats()
+	if posts.Load() != 1 || rs.Retries != 0 || rs.LocalCells != 0 || rs.RemoteCells != 0 {
+		t.Fatalf("%d job posts, stats %+v: want one attempt, no retry, no local fallback", posts.Load(), rs)
 	}
 }

@@ -35,7 +35,8 @@ type TapeStats struct {
 	BytesInUse int64  // current memory-tier tape footprint
 
 	// Generate is cumulative tape-build wall time; Simulate is
-	// cumulative cell simulation wall time excluding tape access. The
+	// cumulative cell simulation wall time excluding tape access (the
+	// sum of completed cells' dist.Result.WallMS). The
 	// pair splits a run's cost into "materialize the workload once" vs
 	// "simulate the system", the trajectory stms-bench records.
 	Generate time.Duration

@@ -140,11 +140,25 @@ type CheckpointDesc struct {
 	Records  uint64          `json:"records"`            // records processed at capture
 }
 
-// PeekCheckpoint opens a sealed checkpoint and returns its descriptor
-// without restoring anything.
+// PeekCheckpoint opens a sealed checkpoint — an exact run's or a
+// sampled run's combined container — and returns its descriptor
+// without restoring anything. A sampled container reports the sampled
+// run's descriptor (Key is its SampledKey) with the records its
+// windows have processed as Records, a figure that only grows as the
+// run progresses.
 func PeekCheckpoint(data []byte) (CheckpointDesc, error) {
 	d, _, err := openDesc(data)
-	return d, err
+	if err == nil {
+		return d, nil
+	}
+	sd, state, slots, serr := openSampled(data)
+	if serr != nil {
+		return CheckpointDesc{}, err
+	}
+	if err := sampledProgress(&sd, state, slots); err != nil {
+		return CheckpointDesc{}, err
+	}
+	return sd, nil
 }
 
 // openDesc opens a sealed checkpoint and reads its descriptor, leaving
@@ -207,8 +221,8 @@ func (want CheckpointDesc) resume(data []byte) (*ckpt.Decoder, error) {
 }
 
 // RunSpec rebuilds the RunSpec the checkpoint belongs to; resume it by
-// passing the checkpoint to Run (or RunSampled, for a sampled
-// descriptor from PeekSampled) with WithResume. tape is consulted only
+// passing the checkpoint to Run (or RunSampled with *d.Sampling, for a
+// sampled descriptor) with WithResume. tape is consulted only
 // for tape-backed checkpoints, which record the tape's identity but not
 // its records: the caller supplies the tape (re-fetched by key in the
 // distributed lab, rebuilt locally otherwise).

@@ -394,21 +394,25 @@ func openSampled(data []byte) (CheckpointDesc, []byte, [][]byte, error) {
 	return d, state, slots, nil
 }
 
-// PeekSampled opens a sealed sampled checkpoint and reports its shape
-// (source, config, sampling parameters, windows completed) without
-// restoring anything.
-func PeekSampled(data []byte) (Sampling, CheckpointDesc, int, error) {
-	d, state, _, err := openSampled(data)
-	if err != nil {
-		return Sampling{}, CheckpointDesc{}, 0, err
+// sampledProgress sets d.Records to the records a sampled container's
+// windows have processed: a finished window counts its whole timed
+// run, a mid-window slot its checkpoint's count.
+func sampledProgress(d *CheckpointDesc, state []byte, slots [][]byte) error {
+	if k := d.Sampling.Windows; k < 1 || k != len(state) {
+		return fmt.Errorf("sim: sampled checkpoint has %d windows, its descriptor plans %d", len(state), k)
 	}
-	done := 0
-	for _, st := range state {
-		if st == slotDone {
-			done++
+	plan := windowPlan(d.Cfg, *d.Sampling)
+	for w, st := range state {
+		switch st {
+		case slotDone:
+			d.Records += (plan[w].warm + plan[w].length) * uint64(d.Cfg.Cores)
+		case slotPartial:
+			if wd, _, err := openDesc(slots[w]); err == nil {
+				d.Records += wd.Records
+			}
 		}
 	}
-	return *d.Sampling, d, done, nil
+	return nil
 }
 
 // --- entry points ----------------------------------------------------------
@@ -442,7 +446,7 @@ func exactSampled(r Results, smp Sampling) SampledResults {
 //
 // Checkpoint options apply to the sampled run as a whole: windows share
 // one combined container, which RunSampled restores through WithResume
-// (rebuild its RunSpec with PeekSampled and CheckpointDesc.RunSpec).
+// (rebuild its RunSpec with PeekCheckpoint and CheckpointDesc.RunSpec).
 // Completed windows are restored from their recorded Results,
 // mid-flight windows resume from their window checkpoints, and
 // untouched windows run fresh; the resumed estimate is identical to the

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -381,12 +382,16 @@ func TestSampledKillResume(t *testing.T) {
 		if last == nil {
 			t.Fatalf("halt=%d: no checkpoint captured", halt)
 		}
-		smpGot, desc, done, err := PeekSampled(last)
+		desc, err := PeekCheckpoint(last)
 		if err != nil {
-			t.Fatalf("halt=%d: PeekSampled: %v", halt, err)
+			t.Fatalf("halt=%d: PeekCheckpoint: %v", halt, err)
 		}
-		if desc.Mode != "sampled" || smpGot != smp.normalized(cfg) || done >= smp.Windows {
-			t.Fatalf("halt=%d: container says mode=%q smp=%+v done=%d", halt, desc.Mode, smpGot, done)
+		var total uint64
+		for _, g := range windowPlan(cfg, smp.normalized(cfg)) {
+			total += (g.warm + g.length) * uint64(cfg.Cores)
+		}
+		if desc.Mode != "sampled" || *desc.Sampling != smp.normalized(cfg) || desc.Records == 0 || desc.Records >= total {
+			t.Fatalf("halt=%d: container says mode=%q smp=%+v records=%d of %d", halt, desc.Mode, desc.Sampling, desc.Records, total)
 		}
 		resumed, err := resumeSampled(context.Background(), last, nil, nil)
 		if err != nil {
@@ -567,13 +572,16 @@ func TestSampledCloseToExact(t *testing.T) {
 // resumeSampled resumes a sealed sampled container into the run its
 // descriptor names; tape serves tape-backed containers.
 func resumeSampled(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (SampledResults, error) {
-	smp, d, _, err := PeekSampled(data)
+	d, err := PeekCheckpoint(data)
 	if err != nil {
 		return SampledResults{}, err
+	}
+	if d.Sampling == nil {
+		return SampledResults{}, fmt.Errorf("checkpoint of a %s run is not sampled", d.Mode)
 	}
 	rs, err := d.RunSpec(tape)
 	if err != nil {
 		return SampledResults{}, err
 	}
-	return RunSampled(ctx, rs, smp, progress, append(opts, WithResume(data))...)
+	return RunSampled(ctx, rs, *d.Sampling, progress, append(opts, WithResume(data))...)
 }

@@ -475,7 +475,8 @@ type CI = stats.CI
 // WithSampling makes every timed cell of the session's plans run as a
 // K-window sampled estimate (Cell.Sampling; per-cell overrides via
 // ForEachCell). Sampled cells memoize and export separately from their
-// exact counterparts and carry SampledResults with error bars.
+// exact counterparts, carry SampledResults with error bars, and run on
+// the session's workers (WithWorkers) like exact cells.
 func WithSampling(smp Sampling) Option { return lab.WithSampling(smp) }
 
 // RunSampled executes the K-window sampled estimate of a timed Run:
