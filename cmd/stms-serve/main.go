@@ -64,6 +64,7 @@ import (
 
 	"stms"
 	"stms/internal/dist"
+	"stms/internal/sim"
 	"stms/internal/stream"
 	"stms/internal/trace"
 )
@@ -432,19 +433,13 @@ func parseVariants(vs []string) ([]stms.PrefSpec, []string, error) {
 	if len(vs) == 0 {
 		return nil, nil, fmt.Errorf("stms-serve: no variants given")
 	}
-	kinds := map[string]stms.Kind{
-		"baseline": stms.None, "none": stms.None,
-		"ideal": stms.Ideal, "stms": stms.STMS,
-		"tse": stms.TSE, "ebcp": stms.EBCP,
-		"ulmt": stms.ULMT, "markov": stms.Markov,
-	}
 	var prefs []stms.PrefSpec
 	var labels []string
 	for _, v := range vs {
 		parts := strings.Split(v, "@")
-		kind, ok := kinds[parts[0]]
-		if !ok {
-			return nil, nil, fmt.Errorf("stms-serve: unknown variant %q (want baseline|ideal|stms|tse|ebcp|ulmt|markov)", parts[0])
+		kind, err := sim.ParseKind(parts[0])
+		if err != nil {
+			return nil, nil, fmt.Errorf("stms-serve: %w", err)
 		}
 		ps := stms.PrefSpec{Kind: kind}
 		for _, p := range parts[1:] {

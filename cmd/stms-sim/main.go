@@ -58,26 +58,6 @@ import (
 	"stms/internal/trace"
 )
 
-func kindOf(s string) (stms.Kind, error) {
-	switch s {
-	case "baseline", "none":
-		return stms.None, nil
-	case "ideal":
-		return stms.Ideal, nil
-	case "stms":
-		return stms.STMS, nil
-	case "tse":
-		return stms.TSE, nil
-	case "ebcp":
-		return stms.EBCP, nil
-	case "ulmt":
-		return stms.ULMT, nil
-	case "markov":
-		return stms.Markov, nil
-	}
-	return 0, fmt.Errorf("unknown prefetcher %q", s)
-}
-
 func main() {
 	workload := flag.String("workload", "web-apache", "workload name")
 	traceFile := flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload")
@@ -101,7 +81,7 @@ func main() {
 	functional := flag.Bool("functional", false, "use the zero-latency functional driver (streamed runs only)")
 	flag.Parse()
 
-	kind, err := kindOf(*pref)
+	kind, err := sim.ParseKind(*pref)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -101,12 +101,14 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 		t.Fatalf("JSON exports differ:\nlocal  %s\nremote %s", lj.Bytes(), rj.Bytes())
 	}
 
-	// Every cell ran remotely, and each unique tape was built exactly
-	// once across the fleet: affinity routing sends all variants of a
-	// workload to one home worker, so no tape is rebuilt or refetched.
+	// Every cell ran remotely on the healthy pool with no retries or
+	// breaker trips, and each unique tape was built exactly once across
+	// the fleet: affinity routing sends all variants of a workload to
+	// one home worker, so no tape is rebuilt or refetched.
 	rs := remote.RemoteStats()
-	if int(rs.RemoteCells) != len(rm.Cells) || rs.LocalCells != 0 {
-		t.Fatalf("dispatch stats = %+v, want all %d cells remote", rs, len(rm.Cells))
+	if rs.Workers != len(servers) || int(rs.RemoteCells) != len(rm.Cells) || rs.LocalCells != 0 ||
+		rs.Retries != 0 || rs.BreakerTrips != 0 {
+		t.Fatalf("dispatch stats = %+v, want all %d cells remote on %d workers, no retries", rs, len(rm.Cells), len(servers))
 	}
 	var builds, peerHits uint64
 	for _, s := range servers {

@@ -38,7 +38,7 @@ type TapeStats struct {
 	// cumulative cell simulation wall time excluding tape access (the
 	// sum of completed cells' dist.Result.WallMS). The
 	// pair splits a run's cost into "materialize the workload once" vs
-	// "simulate the system", the trajectory stms-bench records.
+	// "simulate the system".
 	Generate time.Duration
 	Simulate time.Duration
 }

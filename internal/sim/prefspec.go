@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"stms/internal/core"
 	"stms/internal/prefetch"
@@ -46,6 +47,22 @@ func (k Kind) String() string {
 		return "markov"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// ParseKind is the inverse of Kind.String, and also accepts "none" for
+// the baseline. An unknown name's error lists the valid ones.
+func ParseKind(name string) (Kind, error) {
+	if name == "none" {
+		return None, nil
+	}
+	var names []string
+	for k := None; k <= Markov; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+		names = append(names, k.String())
+	}
+	return 0, fmt.Errorf("unknown prefetcher %q (want %s)", name, strings.Join(names, "|"))
 }
 
 // PrefSpec configures the temporal prefetcher for a run. Zero values take

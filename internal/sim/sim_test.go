@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stms/internal/core"
@@ -273,6 +274,16 @@ func TestVariantNames(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
 		}
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	if got, err := ParseKind("none"); err != nil || got != None {
+		t.Errorf("ParseKind(\"none\") = %v, %v; want baseline", got, err)
+	}
+	_, err := ParseKind("stride")
+	if err == nil || !strings.Contains(err.Error(), "baseline|ideal|stms|tse|ebcp|ulmt|markov") {
+		t.Errorf("ParseKind(\"stride\") error = %v; want one listing the valid names", err)
 	}
 }
 

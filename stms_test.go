@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"stms"
+	"stms/internal/trace"
 )
 
 // tinyLab returns fast-session options: same shapes as the paper runs,
@@ -210,6 +211,7 @@ func TestMatrixMatchesSequential(t *testing.T) {
 	}
 
 	cfg := lab.BaseConfig()
+	checkFrameAccounting(t, m, cfg)
 	for row, w := range m.Workloads {
 		spec, err := stms.Workload(w)
 		if err != nil {
@@ -237,6 +239,28 @@ func TestMatrixMatchesSequential(t *testing.T) {
 	}
 	if cov := m.CoverageTable(); len(cov.Rows) != len(m.Workloads) {
 		t.Fatalf("coverage table rows = %d", len(cov.Rows))
+	}
+}
+
+// checkFrameAccounting asserts the frame pipeline's accounting identity
+// on every cell of m: each core consumes exactly its warm+measure
+// records, in frames of at most trace.FrameCap records, so a cell that
+// skipped the batched path or dropped or repeated a frame cannot pass.
+func checkFrameAccounting(t *testing.T, m *stms.Matrix, cfg stms.Config) {
+	t.Helper()
+	perCore := cfg.WarmRecords + cfg.MeasureRecords
+	cores := uint64(cfg.Cores)
+	want := stms.FrameStats{
+		Frames:  cores * ((perCore + trace.FrameCap - 1) / trace.FrameCap),
+		Records: cores * perCore,
+	}
+	for _, c := range m.Cells {
+		if c.Res == nil {
+			t.Fatalf("cell %s/%s has no results", c.Cell.Workload, c.Cell.Label)
+		}
+		if c.Res.Frames != want {
+			t.Fatalf("cell %s/%s frames = %+v, want %+v", c.Cell.Workload, c.Cell.Label, c.Res.Frames, want)
+		}
 	}
 }
 
@@ -324,6 +348,7 @@ func TestFunctionalModeAndExport(t *testing.T) {
 	if res.Coverage() <= 0 {
 		t.Fatal("functional mode produced no coverage")
 	}
+	checkFrameAccounting(t, m, lab.BaseConfig())
 
 	var jsonBuf, csvBuf testBuffer
 	if err := m.WriteJSON(&jsonBuf); err != nil {
