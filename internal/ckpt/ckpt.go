@@ -42,9 +42,6 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Len returns the number of payload bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Payload returns the encoded payload (not yet framed; see Seal).
 func (e *Encoder) Payload() []byte { return e.buf }
 
@@ -142,9 +139,6 @@ func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
 
 // Err returns the first decoding error, or nil.
 func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns how many undecoded bytes are left.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 func (d *Decoder) fail(format string, args ...interface{}) {
 	if d.err == nil {
@@ -368,19 +362,6 @@ func WriteFile(path string, payload []byte) error {
 		return fmt.Errorf("ckpt: rename: %w", err)
 	}
 	return SyncDir(dir)
-}
-
-// ReadFile reads and verifies a sealed container, returning its payload.
-func ReadFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := Open(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	return payload, nil
 }
 
 // SyncDir fsyncs a directory so freshly renamed dirents are durable.

@@ -35,10 +35,6 @@ func (s *Snapshot) Len() int { return len(s.payload) }
 // the same snapshot independently.
 func (s *Snapshot) Decoder() *Decoder { return NewDecoder(s.payload) }
 
-// Seal frames the snapshot as a complete STMSCKPT container, the same
-// bytes WriteFile would persist.
-func (s *Snapshot) Seal() []byte { return Seal(s.payload) }
-
 // OpenSnapshot verifies a sealed container and wraps its payload as an
 // in-memory snapshot.
 func OpenSnapshot(data []byte) (*Snapshot, error) {

@@ -226,9 +226,6 @@ func New(env prefetch.Env, cfg Config, ecfg prefetch.EngineConfig) (*prefetch.En
 // Name identifies the backend.
 func (m *Meta) Name() string { return "stms" }
 
-// Config returns the build configuration.
-func (m *Meta) Config() Config { return m.cfg }
-
 // Stats returns internal counters.
 func (m *Meta) Stats() Stats { return m.st }
 

@@ -138,14 +138,8 @@ func NewFramed(id int, cfg Config, eng *event.Engine, src trace.FrameSource, loa
 	}
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
 // Committed returns total instructions retired.
 func (c *Core) Committed() uint64 { return c.retired }
-
-// Loads returns total loads issued.
-func (c *Core) Loads() uint64 { return c.loads }
 
 // MarkWindow snapshots the committed-instruction count; CommittedInWindow
 // reports progress since the last mark. Used at the warm-up boundary.

@@ -317,8 +317,8 @@ func TestExecuteJobResumeAcrossSubstrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Source != "tape" {
-		t.Fatalf("checkpoint source %q, want a tape-backed checkpoint", d.Source)
+	if d.Tape == "" {
+		t.Fatalf("checkpoint descriptor %+v names no tape, want a tape-backed checkpoint", d)
 	}
 	if r, err = ExecuteJob(context.Background(), job, nil, nil, nil, &ExecOptions{Resume: snap}); err != nil {
 		t.Fatal(err)

@@ -95,9 +95,6 @@ func NewStore(memBytes int64, dir string) *Store {
 	}
 }
 
-// Dir returns the disk-tier directory ("" when disabled).
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()

@@ -43,15 +43,6 @@ func DefaultOptions() Options {
 	return Options{Scale: 0.125, Seed: 42, Warm: 80_000, Measure: 120_000}
 }
 
-// Quick returns options sized for go test / CI: same shapes, smaller
-// windows.
-func (o Options) Quick() Options {
-	o.Scale = 0.0625
-	o.Warm /= 4
-	o.Measure /= 4
-	return o
-}
-
 // Config builds the simulator configuration for these options.
 func (o Options) Config() sim.Config {
 	cfg := sim.DefaultConfig()
@@ -122,11 +113,6 @@ func (r *Runner) functional(workloads []string, prefs []sim.PrefSpec, opts ...la
 // Timed runs (or recalls) a single timed simulation.
 func (r *Runner) Timed(workload string, ps sim.PrefSpec) sim.Results {
 	return *r.timed([]string{workload}, []sim.PrefSpec{ps}).At(0, 0).Res
-}
-
-// Functional runs (or recalls) a single functional simulation.
-func (r *Runner) Functional(workload string, ps sim.PrefSpec) sim.Results {
-	return *r.functional([]string{workload}, []sim.PrefSpec{ps}).At(0, 0).Res
 }
 
 // shortName compresses workload names for column headers

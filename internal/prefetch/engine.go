@@ -64,9 +64,6 @@ type EngineStats struct {
 	StreamLens stats.CDF
 }
 
-// Covered returns total covered misses.
-func (s *EngineStats) Covered() uint64 { return s.FullHits + s.PartialHits }
-
 type queued struct {
 	addr uint64
 	pos  uint64

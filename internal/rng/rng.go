@@ -174,9 +174,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return z
 }
 
-// N returns the number of items the sampler draws from.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Sample draws one index using r.
 func (z *Zipf) Sample(r *Rand) int {
 	target := r.Float64() * z.cum[len(z.cum)-1]

@@ -121,24 +121,90 @@ func gatherOpts(opts []RunOption) runOpts {
 	return o
 }
 
-// CheckpointDesc is the JSON run descriptor at the head of every
-// checkpoint. Key is the run's identity (RunSpec.Key, or SampledKey for
-// a sampled run's container, which also records Sampling); a
-// checkpoint restores only into a run with the same key. The rest is
-// everything needed to rebuild the run: Spec and Scenario are the
-// original (unscaled) inputs; tape-backed checkpoints echo the tape's
-// spec and need the tape itself handed to RunSpec.
-type CheckpointDesc struct {
-	Key      string          `json:"key"`
-	Mode     string          `json:"mode"`   // "timed" | "functional" | "sampled"
-	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
-	Cfg      Config          `json:"cfg"`
-	PS       PrefSpec        `json:"ps"`
-	Spec     *trace.Spec     `json:"spec,omitempty"`
-	Scenario *trace.Scenario `json:"scenario,omitempty"`
-	Sampling *Sampling       `json:"sampling,omitempty"` // sampled containers only
-	Records  uint64          `json:"records"`            // records processed at capture
+// halts reports whether the n-th checkpoint written is the one
+// WithCheckpointHalt stops the run after.
+func (o *runOpts) halts(n int) bool {
+	return o.haltAfter > 0 && n >= o.haltAfter
 }
+
+// cadence is the one checkpoint trigger policy both drivers follow: a
+// checkpoint at the first safe site at or past each multiple of
+// WithCheckpointEvery's records, a halt after the WithCheckpointHalt-th,
+// and a final checkpoint plus halt once WithCheckpointSignal fires. A
+// driver compares its record count against next (a single integer
+// compare), calls poll at its polling stride, and fire when the count
+// reaches next.
+type cadence struct {
+	o        *runOpts
+	next     uint64 // record count of the next checkpoint; ^0 = none due
+	n        int    // checkpoints written
+	stopping bool
+}
+
+// cadence starts the policy at a run's first record, start.
+func (o *runOpts) cadence(start uint64) cadence {
+	c := cadence{o: o, next: ^uint64(0)}
+	if o.every > 0 {
+		c.next = nextBoundary(start, o.every)
+	}
+	return c
+}
+
+// poll pulls the next checkpoint forward to recs once the stop signal
+// has fired.
+func (c *cadence) poll(recs uint64) {
+	if c.o.stopCh == nil || c.stopping {
+		return
+	}
+	select {
+	case <-c.o.stopCh:
+		c.stopping, c.next = true, recs
+	default:
+	}
+}
+
+// fire writes the checkpoint due at recs. It returns ErrCheckpointed
+// when the run must halt after it, and the write's error if it failed.
+func (c *cadence) fire(recs uint64, write func(recs uint64) error) error {
+	if err := write(recs); err != nil {
+		return err
+	}
+	c.n++
+	switch {
+	case c.stopping || c.o.halts(c.n):
+		return ErrCheckpointed
+	case c.o.every > 0:
+		c.next = nextBoundary(recs, c.o.every)
+	default:
+		c.next = ^uint64(0)
+	}
+	return nil
+}
+
+// nextBoundary returns the first checkpoint boundary strictly above n.
+func nextBoundary(n, every uint64) uint64 {
+	return (n/every + 1) * every
+}
+
+// CheckpointDesc is the JSON run descriptor at the head of every
+// checkpoint: the run's canonical document (the fields Mode, Config,
+// Pref, exactly one of Spec, Scenario and Tape, and Sampling for a
+// sampled run), its Key and the records processed at capture. Spec and
+// Scenario runs are described in their portable form; a Tape run by its
+// tape address, so rebuilding it needs that tape handed to RunSpec. Key
+// is the run's identity (RunSpec.Key, or SampledKey for a sampled run's
+// container): a checkpoint restores only into a run with the same key.
+type CheckpointDesc struct {
+	Key     string `json:"key"`
+	Records uint64 `json:"records"` // records processed at capture
+	runDoc
+}
+
+// Payload sections that open the two container kinds.
+const (
+	exactSection   = "sim.checkpoint" // descriptor + component snapshots
+	sampledSection = "sim.sampled"    // descriptor + per-window slots
+)
 
 // PeekCheckpoint opens a sealed checkpoint — an exact run's or a
 // sampled run's combined container — and returns its descriptor
@@ -147,106 +213,117 @@ type CheckpointDesc struct {
 // windows have processed as Records, a figure that only grows as the
 // run progresses.
 func PeekCheckpoint(data []byte) (CheckpointDesc, error) {
-	d, _, err := openDesc(data)
-	if err == nil {
-		return d, nil
+	d, sampled, dec, err := openDesc(data)
+	if err != nil || !sampled {
+		return d, err
 	}
-	sd, state, slots, serr := openSampled(data)
-	if serr != nil {
+	state, slots, err := readSlots(dec, d)
+	if err != nil {
 		return CheckpointDesc{}, err
 	}
-	if err := sampledProgress(&sd, state, slots); err != nil {
-		return CheckpointDesc{}, err
+	plan := windowPlan(d.Config, *d.Sampling)
+	for w, st := range state {
+		switch st {
+		case slotDone:
+			d.Records += (plan[w].warm + plan[w].length) * uint64(d.Config.Cores)
+		case slotPartial:
+			if wd, _, _, err := openDesc(slots[w]); err == nil {
+				d.Records += wd.Records
+			}
+		}
 	}
-	return sd, nil
+	return d, nil
 }
 
-// openDesc opens a sealed checkpoint and reads its descriptor, leaving
-// the decoder at the first component snapshot.
-func openDesc(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
+// openDesc opens a sealed checkpoint of either kind and reads its
+// descriptor, leaving the decoder after it; sampled reports a sampled
+// run's combined container.
+func openDesc(data []byte) (d CheckpointDesc, sampled bool, dec *ckpt.Decoder, err error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
-		return CheckpointDesc{}, nil, err
+		return CheckpointDesc{}, false, nil, err
 	}
-	dec := ckpt.NewDecoder(payload)
-	dec.Section("sim.checkpoint")
+	dec = ckpt.NewDecoder(payload)
+	section := dec.String()
 	j := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, err
+	switch {
+	case dec.Err() != nil:
+		return CheckpointDesc{}, false, nil, dec.Err()
+	case section != exactSection && section != sampledSection:
+		return CheckpointDesc{}, false, nil, fmt.Errorf("sim: not a checkpoint (section %q)", section)
 	}
-	var d CheckpointDesc
 	if err := json.Unmarshal(j, &d); err != nil {
-		return CheckpointDesc{}, nil, fmt.Errorf("sim: corrupt checkpoint descriptor: %w", err)
+		return CheckpointDesc{}, false, nil, fmt.Errorf("sim: corrupt checkpoint descriptor: %w", err)
 	}
-	return d, dec, nil
+	sampled = section == sampledSection
+	if sampled && d.Sampling == nil {
+		return CheckpointDesc{}, false, nil, fmt.Errorf("sim: sampled checkpoint descriptor records no sampling parameters")
+	}
+	return d, sampled, dec, nil
 }
 
 // writeCheckpoint assembles descriptor + component snapshots and
-// delivers the sealed container to the configured destinations.
+// delivers the sealed container.
 func writeCheckpoint(o *runOpts, d CheckpointDesc, snap func(*ckpt.Encoder) error) error {
-	if o.path == "" && o.sink == nil {
-		return fmt.Errorf("sim: checkpoint requested with no destination (path or func)")
-	}
 	j, err := json.Marshal(d)
 	if err != nil {
 		return fmt.Errorf("sim: encoding checkpoint descriptor: %w", err)
 	}
 	enc := ckpt.NewEncoder()
-	enc.Section("sim.checkpoint")
+	enc.Section(exactSection)
 	enc.Bytes(j)
 	if err := snap(enc); err != nil {
 		return err
 	}
+	return o.deliver(enc.Payload())
+}
+
+// deliver writes a checkpoint payload to the configured destinations:
+// the file (atomically) and the sink (sealed).
+func (o *runOpts) deliver(payload []byte) error {
+	if o.path == "" && o.sink == nil {
+		return fmt.Errorf("sim: checkpoint requested with no destination (path or func)")
+	}
 	if o.path != "" {
-		if err := ckpt.WriteFile(o.path, enc.Payload()); err != nil {
+		if err := ckpt.WriteFile(o.path, payload); err != nil {
 			return err
 		}
 	}
 	if o.sink != nil {
-		if err := o.sink(ckpt.Seal(enc.Payload())); err != nil {
-			return err
-		}
+		return o.sink(ckpt.Seal(payload))
 	}
 	return nil
 }
 
-// resume opens a WithResume container for the run want describes,
-// refusing a checkpoint of any other run.
-func (want CheckpointDesc) resume(data []byte) (*ckpt.Decoder, error) {
-	d, dec, err := openDesc(data)
-	if err != nil {
+// resume opens a WithResume container for the run want describes — a
+// sampled run's combined container when sampled is set, an exact run's
+// otherwise — refusing a checkpoint of any other run.
+func (want CheckpointDesc) resume(data []byte, sampled bool) (*ckpt.Decoder, error) {
+	d, isSampled, dec, err := openDesc(data)
+	switch {
+	case err != nil:
 		return nil, err
+	case isSampled != sampled:
+		return nil, fmt.Errorf("sim: checkpoint container is sampled=%v, the run sampled=%v", isSampled, sampled)
 	}
 	return dec, want.check(d)
 }
 
 // RunSpec rebuilds the RunSpec the checkpoint belongs to; resume it by
 // passing the checkpoint to Run (or RunSampled with *d.Sampling, for a
-// sampled descriptor) with WithResume. tape is consulted only
-// for tape-backed checkpoints, which record the tape's identity but not
-// its records: the caller supplies the tape (re-fetched by key in the
-// distributed lab, rebuilt locally otherwise).
+// sampled descriptor) with WithResume. tape is consulted only for
+// tape-backed checkpoints, which record the tape's address but not its
+// records: the caller supplies the tape (re-fetched by key in the
+// distributed lab, rebuilt locally otherwise), and any other tape is
+// refused. A descriptor whose document does not rebuild the run its Key
+// names is refused too.
 func (d CheckpointDesc) RunSpec(tape *trace.Tape) (RunSpec, error) {
-	mode := d.Mode
-	if d.Sampling != nil {
-		mode = Timed.String()
-	}
-	m, err := parseMode(mode)
+	rs, err := d.runSpec(tape)
 	if err != nil {
 		return RunSpec{}, err
 	}
-	rs := RunSpec{Mode: m, Config: d.Cfg, Pref: d.PS}
-	switch {
-	case d.Source == "spec" && d.Spec != nil:
-		rs.Source.Spec = d.Spec
-	case d.Source == "scenario" && d.Scenario != nil:
-		rs.Source.Scenario = d.Scenario
-	case d.Source == "tape" && tape != nil:
-		rs.Source.Tape = tape
-	case d.Source == "tape":
-		return RunSpec{}, fmt.Errorf("sim: checkpoint is tape-backed; resuming it needs the tape")
-	default:
-		return RunSpec{}, fmt.Errorf("sim: checkpoint descriptor names unknown source %q", d.Source)
+	if key, err := identity(rs, d.Sampling); err != nil || key != d.Key {
+		return RunSpec{}, fmt.Errorf("sim: checkpoint descriptor does not describe its run %.12s…", d.Key)
 	}
 	return rs, nil
 }
@@ -261,8 +338,8 @@ func ResumeTape(ctx context.Context, data []byte, tape *trace.Tape, progress Pro
 	if err != nil {
 		return Results{}, err
 	}
-	if d.Source != "tape" {
-		return Results{}, fmt.Errorf("sim: checkpoint is %s-backed, not tape-backed", d.Source)
+	if d.Tape == "" {
+		return Results{}, fmt.Errorf("sim: checkpoint is not tape-backed")
 	}
 	rs, err := d.RunSpec(tape)
 	if err != nil {
@@ -273,7 +350,9 @@ func ResumeTape(ctx context.Context, data []byte, tape *trace.Tape, progress Pro
 
 // CheckpointablePref reports whether runs of the given prefetcher
 // variant can checkpoint: the None/Ideal/STMS kinds over the default
-// bucket-LRU index organization. The distributed lab consults this
+// bucket-LRU index organization. It is the one checkpointability
+// predicate: the drivers gate checkpoint requests on it, sampling gates
+// warm-state snapshots on it, and the distributed lab consults it
 // before requesting checkpoint options for a job, so non-serializable
 // variants run plain instead of failing fast. Sources must still be
 // re-derivable (externally supplied generators are rejected at run
@@ -281,29 +360,18 @@ func ResumeTape(ctx context.Context, data []byte, tape *trace.Tape, progress Pro
 func CheckpointablePref(ps PrefSpec) bool {
 	switch ps.Kind {
 	case None, Ideal, STMS:
-	default:
-		return false
+		return ps.STMSCfg == nil || ps.STMSCfg.Org == core.OrgBucketLRU
 	}
-	if ps.STMSCfg != nil && ps.STMSCfg.Org != core.OrgBucketLRU {
-		return false
-	}
-	return true
+	return false
 }
 
 // ckptSupported gates checkpoint requests on configurations whose full
-// state is serializable.
-func ckptSupported(desc CheckpointDesc, pref built, ps PrefSpec) error {
-	switch ps.Kind {
-	case None, Ideal, STMS:
-	default:
-		return fmt.Errorf("sim: the %s variant is not checkpointable", ps.Kind)
-	}
-	if pref.stms != nil {
-		if err := pref.stms.Checkpointable(); err != nil {
-			return err
-		}
-	}
-	if desc.Key == "" {
+// state is serializable over sources that can be re-derived.
+func ckptSupported(desc CheckpointDesc, ps PrefSpec) error {
+	switch {
+	case !CheckpointablePref(ps):
+		return fmt.Errorf("sim: %s runs are not checkpointable (only the baseline, ideal and stms variants over the default index organization are)", ps.Kind)
+	case desc.Key == "":
 		return fmt.Errorf("sim: runs over externally supplied generators are not checkpointable (sources cannot be re-derived)")
 	}
 	return nil
@@ -315,8 +383,7 @@ func ckptSupported(desc CheckpointDesc, pref built, ps PrefSpec) error {
 // then produce wrong results.
 func (want CheckpointDesc) check(d CheckpointDesc) error {
 	if d.Key != want.Key {
-		return fmt.Errorf("sim: checkpoint of run %.12s… (%s %s) does not match run %.12s…",
-			d.Key, d.Mode, d.Source, want.Key)
+		return fmt.Errorf("sim: checkpoint of %s run %.12s… does not match run %.12s…", d.Mode, d.Key, want.Key)
 	}
 	return nil
 }
@@ -640,9 +707,9 @@ func (s *timed) restore(dec *ckpt.Decoder) error {
 }
 
 // writeCkpt emits one checkpoint of the running timed system.
-func (s *timed) writeCkpt() error {
+func (s *timed) writeCkpt(recs uint64) error {
 	d := s.desc
-	d.Records = s.allRecs
+	d.Records = recs
 	return writeCheckpoint(&s.opt, d, s.snapshot)
 }
 
@@ -741,9 +808,4 @@ func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
 		return err
 	}
 	return restorePref(dec, &s.pref, noHandlers)
-}
-
-// nextBoundary returns the first checkpoint boundary strictly above n.
-func nextBoundary(n, every uint64) uint64 {
-	return (n/every + 1) * every
 }

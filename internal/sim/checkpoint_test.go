@@ -344,7 +344,7 @@ func TestCheckpointDescMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Mode != "functional" || d.Source != "spec" || d.Spec == nil || d.Spec.Name != "web-apache" {
+	if d.Mode != "functional" || d.Tape != "" || d.Scenario != nil || d.Spec == nil || d.Spec.Name != "web-apache" {
 		t.Fatalf("descriptor mismatch: %+v", d)
 	}
 }
@@ -440,6 +440,8 @@ func resumeFile(path string) (Results, error) {
 // differs in exactly one part of its identity — another workload,
 // another sampling probability, another workload's tape — which would
 // restore cleanly and then produce wrong results; every one must fail.
+// A tape-backed descriptor also refuses to rebuild its run over any
+// tape but the one it names.
 func TestResumeIdentityMismatch(t *testing.T) {
 	cfg := ckptConfig()
 	web, oltp := spec(t, "web-apache"), spec(t, "oltp-db2")
@@ -498,6 +500,14 @@ func TestResumeIdentityMismatch(t *testing.T) {
 		}},
 		{"other workload's tape", exact(tapeRun(Timed, cfg, webTape, p125)), func(data []byte) error {
 			_, err := resumeRun(ctx, data, oltpTape, nil)
+			return err
+		}},
+		{"descriptor rebuilt over another workload's tape", exact(tapeRun(Timed, cfg, webTape, p125)), func(data []byte) error {
+			d, err := PeekCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = d.RunSpec(oltpTape)
 			return err
 		}},
 		{"other scenario's tape, past the phase boundary", exact(tapeRun(Timed, cfg, probeA, p125)), func(data []byte) error {

@@ -132,12 +132,12 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []tr
 	}
 	var start uint64
 	if opt.active() {
-		if err := ckptSupported(desc, s.pref, ps); err != nil {
+		if err := ckptSupported(desc, ps); err != nil {
 			return Results{}, err
 		}
 	}
 	if opt.resume != nil {
-		dec, err := desc.resume(opt.resume)
+		dec, err := desc.resume(opt.resume, false)
 		if err != nil {
 			return Results{}, err
 		}
@@ -146,11 +146,13 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, srcs []tr
 		}
 		start = ls.i
 	}
-	nextCkpt := ^uint64(0)
-	if opt.every > 0 {
-		nextCkpt = nextBoundary(start, opt.every)
+	ck := opt.cadence(start)
+	write := func(recs uint64) error {
+		ls.i = recs
+		d := desc
+		d.Records = recs
+		return writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) })
 	}
-	ckptN := 0
 
 	warmTotal := cfg.WarmRecords * uint64(cfg.Cores)
 	total := warmTotal + cfg.MeasureRecords*uint64(cfg.Cores)
@@ -163,34 +165,14 @@ loop:
 			if ctx.Err() != nil {
 				return Results{}, ctx.Err()
 			}
-			if opt.stopCh != nil {
-				select {
-				case <-opt.stopCh:
-					ls.i = i
-					d := desc
-					d.Records = i
-					if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
-						return Results{}, err
-					}
-					return Results{}, ErrCheckpointed
-				default:
-				}
-			}
+			ck.poll(i)
 		}
-		if i == nextCkpt {
+		if i == ck.next {
 			// Record boundary: the previous record is fully processed,
 			// the warm-window snapshot for this index has not run yet —
 			// the resumed loop re-enters exactly here.
-			ls.i = i
-			d := desc
-			d.Records = i
-			if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
+			if err := ck.fire(i, write); err != nil {
 				return Results{}, err
-			}
-			ckptN++
-			nextCkpt = nextBoundary(i, opt.every)
-			if opt.haltAfter > 0 && ckptN >= opt.haltAfter {
-				return Results{}, ErrCheckpointed
 			}
 		}
 		if i == warmTotal {

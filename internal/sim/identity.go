@@ -22,7 +22,9 @@ import (
 // runDoc is RunSpec's canonical JSON encoding. The portable form (a
 // distributed job's run) names the workload by Spec or Scenario; the
 // identity form hashed by Key names it by tape address, plus the
-// normalized Sampling of a sampled run.
+// normalized Sampling of a sampled run. A checkpoint's descriptor
+// carries the portable form — the tape address for a Tape run — with
+// the Sampling of a sampled run.
 type runDoc struct {
 	Mode     string          `json:"mode"`
 	Config   Config          `json:"config"`
@@ -108,46 +110,81 @@ func (rs RunSpec) SampledKey(smp Sampling) (string, error) {
 	return identity(rs, &smp)
 }
 
+// doc returns the run's canonical document: the portable form (the
+// scenario as its own versioned document) for a Spec or Scenario run,
+// the tape address for a Tape run. A Stream run has neither.
+func (rs RunSpec) doc() (runDoc, error) {
+	if err := rs.Source.check(); err != nil {
+		return runDoc{}, err
+	}
+	doc := runDoc{Mode: rs.Mode.String(), Config: rs.Config, Pref: rs.Pref, Spec: rs.Source.Spec}
+	var err error
+	switch s := rs.Source; {
+	case s.Spec != nil:
+	case s.Scenario != nil:
+		doc.Scenario, err = json.Marshal(*s.Scenario)
+	default:
+		doc.Tape, _, err = rs.TapeRecipe()
+	}
+	return doc, err
+}
+
+// runSpec rebuilds the run a document describes: the one decoder of
+// run documents, for jobs and checkpoints alike. A tape-addressed
+// document needs its tape, and refuses any tape but the one it names.
+func (doc runDoc) runSpec(tape *trace.Tape) (RunSpec, error) {
+	mode, err := parseMode(doc.Mode)
+	if err != nil {
+		return RunSpec{}, err
+	}
+	rs := RunSpec{Mode: mode, Config: doc.Config, Pref: doc.Pref, Source: Source{Spec: doc.Spec}}
+	set := 0
+	for _, ok := range []bool{doc.Spec != nil, len(doc.Scenario) > 0, doc.Tape != ""} {
+		if ok {
+			set++
+		}
+	}
+	switch {
+	case set != 1:
+		return RunSpec{}, fmt.Errorf("sim: a run document names exactly one of a spec, a scenario and a tape (%d named)", set)
+	case len(doc.Scenario) > 0:
+		scn, err := trace.ParseScenario(bytes.NewReader(doc.Scenario))
+		if err != nil {
+			return RunSpec{}, err
+		}
+		rs.Source.Scenario = &scn
+	case doc.Tape != "" && tape == nil:
+		return RunSpec{}, fmt.Errorf("sim: the run is tape-backed; rebuilding it needs its tape %.12s…", doc.Tape)
+	case doc.Tape != "":
+		rs.Source.Tape = tape
+		if key, _, err := rs.TapeRecipe(); err != nil || key != doc.Tape {
+			return RunSpec{}, fmt.Errorf("sim: tape %.12s… is not the run's tape %.12s…", key, doc.Tape)
+		}
+	}
+	return rs, nil
+}
+
 // desc returns the checkpoint descriptor template of the run, sampled
-// with smp when non-nil: its key plus what CheckpointDesc.RunSpec
-// needs to rebuild it.
+// with smp when non-nil.
 func (rs RunSpec) desc(smp *Sampling) (CheckpointDesc, error) {
 	key, err := identity(rs, smp)
 	if err != nil {
 		return CheckpointDesc{}, err
 	}
-	d := CheckpointDesc{Key: key, Mode: rs.Mode.String(), Cfg: rs.Config, PS: rs.Pref,
-		Spec: rs.Source.Spec, Scenario: rs.Source.Scenario, Sampling: smp}
-	if smp != nil {
-		d.Mode = "sampled"
-	}
-	switch {
-	case d.Spec != nil:
-		d.Source = "spec"
-	case d.Scenario != nil:
-		d.Source = "scenario"
-	default:
-		sp := rs.Source.Tape.Spec()
-		d.Source, d.Spec = "tape", &sp
-	}
-	return d, nil
+	doc, err := rs.doc()
+	doc.Sampling = smp
+	return CheckpointDesc{Key: key, runDoc: doc}, err
 }
 
-// MarshalJSON encodes a Spec or Scenario run in its portable form (the
-// scenario as its own versioned document). Tape and Stream runs do not
-// carry their records and have no portable form.
+// MarshalJSON encodes a Spec or Scenario run in its portable form.
+// Tape and Stream runs do not carry their records and have no portable
+// form.
 func (rs RunSpec) MarshalJSON() ([]byte, error) {
-	doc := runDoc{Mode: rs.Mode.String(), Config: rs.Config, Pref: rs.Pref, Spec: rs.Source.Spec}
-	if err := rs.Source.check(); err != nil {
+	doc, err := rs.doc()
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	switch s := rs.Source; {
-	case s.Scenario != nil:
-		var err error
-		if doc.Scenario, err = json.Marshal(*s.Scenario); err != nil {
-			return nil, err
-		}
-	case s.Spec == nil:
+	case doc.Tape != "":
 		return nil, fmt.Errorf("sim: only spec and scenario runs have a portable encoding")
 	}
 	return json.Marshal(doc)
@@ -160,20 +197,9 @@ func (rs *RunSpec) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return err
 	}
-	mode, err := parseMode(doc.Mode)
+	out, err := doc.runSpec(nil)
 	if err != nil {
 		return err
-	}
-	out := RunSpec{Mode: mode, Config: doc.Config, Pref: doc.Pref, Source: Source{Spec: doc.Spec}}
-	switch {
-	case doc.Tape != "" || (doc.Spec == nil) == (len(doc.Scenario) == 0):
-		return fmt.Errorf("sim: a portable run carries exactly one of a spec and a scenario")
-	case doc.Spec == nil:
-		scn, err := trace.ParseScenario(bytes.NewReader(doc.Scenario))
-		if err != nil {
-			return err
-		}
-		out.Source.Scenario = &scn
 	}
 	*rs = out
 	return nil

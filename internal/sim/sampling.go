@@ -299,24 +299,14 @@ type sampledCkpt struct {
 // holds mu.
 func (c *sampledCkpt) write() error {
 	enc := ckpt.NewEncoder()
-	enc.Section("sim.sampled")
+	enc.Section(sampledSection)
 	enc.Bytes(c.desc)
 	enc.Int(len(c.state))
 	for w := range c.state {
 		enc.U8(c.state[w])
 		enc.Bytes(c.slots[w])
 	}
-	if c.opt.path != "" {
-		if err := ckpt.WriteFile(c.opt.path, enc.Payload()); err != nil {
-			return err
-		}
-	}
-	if c.opt.sink != nil {
-		if err := c.opt.sink(ckpt.Seal(enc.Payload())); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.opt.deliver(enc.Payload())
 }
 
 // onWindow returns window w's checkpoint sink. Which window triggers
@@ -336,7 +326,7 @@ func (c *sampledCkpt) onWindow(w int) func([]byte) error {
 			return err
 		}
 		c.writes++
-		if c.opt.haltAfter > 0 && c.writes >= c.opt.haltAfter {
+		if c.opt.halts(c.writes) {
 			c.halted = true
 			c.cancel()
 			return errSampledHalt
@@ -359,60 +349,23 @@ func (c *sampledCkpt) finish(w int, res Results) error {
 	return c.write()
 }
 
-// openSampled unpacks a sealed sampled container.
-func openSampled(data []byte) (CheckpointDesc, []byte, [][]byte, error) {
-	payload, err := ckpt.Open(data)
-	if err != nil {
-		return CheckpointDesc{}, nil, nil, err
-	}
-	dec := ckpt.NewDecoder(payload)
-	dec.Section("sim.sampled")
-	j := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
-	}
-	var d CheckpointDesc
-	if err := json.Unmarshal(j, &d); err != nil {
-		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
-	}
-	if d.Sampling == nil {
-		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: sampled checkpoint descriptor records no sampling parameters")
-	}
+// readSlots reads a sampled container's per-window slots, the decoder
+// positioned after descriptor d.
+func readSlots(dec *ckpt.Decoder, d CheckpointDesc) (state []byte, slots [][]byte, err error) {
 	n := dec.Int()
 	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, err
+		return nil, nil, err
 	}
-	state := make([]byte, n)
-	slots := make([][]byte, n)
+	if k := d.Sampling.Windows; k < 1 || k != n {
+		return nil, nil, fmt.Errorf("sim: sampled checkpoint has %d windows, its descriptor plans %d", n, k)
+	}
+	state = make([]byte, n)
+	slots = make([][]byte, n)
 	for w := 0; w < n; w++ {
 		state[w] = dec.U8()
 		slots[w] = dec.Bytes()
 	}
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, err
-	}
-	return d, state, slots, nil
-}
-
-// sampledProgress sets d.Records to the records a sampled container's
-// windows have processed: a finished window counts its whole timed
-// run, a mid-window slot its checkpoint's count.
-func sampledProgress(d *CheckpointDesc, state []byte, slots [][]byte) error {
-	if k := d.Sampling.Windows; k < 1 || k != len(state) {
-		return fmt.Errorf("sim: sampled checkpoint has %d windows, its descriptor plans %d", len(state), k)
-	}
-	plan := windowPlan(d.Cfg, *d.Sampling)
-	for w, st := range state {
-		switch st {
-		case slotDone:
-			d.Records += (plan[w].warm + plan[w].length) * uint64(d.Cfg.Cores)
-		case slotPartial:
-			if wd, _, err := openDesc(slots[w]); err == nil {
-				d.Records += wd.Records
-			}
-		}
-	}
-	return nil
+	return state, slots, dec.Err()
 }
 
 // --- entry points ----------------------------------------------------------
@@ -511,17 +464,13 @@ func runSampled(ctx context.Context, cfg Config, ps PrefSpec, smp Sampling, prog
 	state := make([]byte, k)
 	slots := make([][]byte, k)
 	if opt.resume != nil {
-		d, st, sl, err := openSampled(opt.resume)
+		dec, err := desc.resume(opt.resume, true)
 		if err != nil {
 			return SampledResults{}, err
 		}
-		if err := desc.check(d); err != nil {
+		if state, slots, err = readSlots(dec, desc); err != nil {
 			return SampledResults{}, err
 		}
-		if len(st) != k {
-			return SampledResults{}, fmt.Errorf("sim: sampled checkpoint has %d windows, run plans %d", len(st), k)
-		}
-		state, slots = st, sl
 	}
 
 	ctx2, cancel := context.WithCancel(ctx)

@@ -390,7 +390,7 @@ func TestSampledKillResume(t *testing.T) {
 		for _, g := range windowPlan(cfg, smp.normalized(cfg)) {
 			total += (g.warm + g.length) * uint64(cfg.Cores)
 		}
-		if desc.Mode != "sampled" || *desc.Sampling != smp.normalized(cfg) || desc.Records == 0 || desc.Records >= total {
+		if desc.Mode != "timed" || desc.Sampling == nil || *desc.Sampling != smp.normalized(cfg) || desc.Records == 0 || desc.Records >= total {
 			t.Fatalf("halt=%d: container says mode=%q smp=%+v records=%d of %d", halt, desc.Mode, desc.Sampling, desc.Records, total)
 		}
 		resumed, err := resumeSampled(context.Background(), last, nil, nil)

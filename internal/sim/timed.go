@@ -26,13 +26,12 @@ type timed struct {
 	ps   PrefSpec
 
 	// Checkpointing: the run's descriptor template (its identity key
-	// and how to rebuild it), checkpoint options, and trigger state.
-	desc     CheckpointDesc
-	opt      runOpts
-	nextCkpt uint64
-	ckptN    int
-	halted   bool
-	ckptErr  error
+	// and how to rebuild it), checkpoint options, the trigger policy
+	// and the error (or ErrCheckpointed) that stopped the drain.
+	desc    CheckpointDesc
+	opt     runOpts
+	ck      cadence
+	ckptErr error
 
 	// Cancellation and progress reporting (nil ctx = never cancelled).
 	ctx       context.Context
@@ -281,7 +280,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 	if s.opt.active() {
 		// Fail fast: unsupported configurations refuse checkpoint
 		// requests up front rather than at the first boundary.
-		if err := ckptSupported(desc, s.pref, ps); err != nil {
+		if err := ckptSupported(desc, ps); err != nil {
 			return Results{}, err
 		}
 	}
@@ -289,7 +288,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 		// Resumed run: all pending events (including the cores' own
 		// dispatch steps) come back with the engine snapshot, so the
 		// cores must not be started again.
-		dec, err := desc.resume(s.opt.resume)
+		dec, err := desc.resume(s.opt.resume, false)
 		if err != nil {
 			return Results{}, err
 		}
@@ -306,9 +305,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 			c.Start()
 		}
 	}
-	if s.opt.every > 0 {
-		s.nextCkpt = nextBoundary(s.allRecs, s.opt.every)
-	}
+	s.ck = s.opt.cadence(s.allRecs)
 	// Drain everything: cores stop when their bounded generators run dry;
 	// outstanding memory and meta-data events then settle. The stop
 	// predicate is polled every pollEvery events (the engine keeps the
@@ -331,40 +328,17 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, srcs []trace.Fra
 		if s.opt.windowClock && !s.measuring && s.crossedWarm > 0 {
 			return false
 		}
-		if s.opt.stopCh != nil {
-			select {
-			case <-s.opt.stopCh:
-				if err := s.writeCkpt(); err != nil {
-					s.ckptErr = err
-				} else {
-					s.ckptN++
-					s.halted = true
-				}
-				return true
-			default:
-			}
+		s.ck.poll(s.allRecs)
+		if s.allRecs >= s.ck.next {
+			s.ckptErr = s.ck.fire(s.allRecs, s.writeCkpt)
 		}
-		if s.opt.every > 0 && s.allRecs >= s.nextCkpt {
-			if err := s.writeCkpt(); err != nil {
-				s.ckptErr = err
-				return true
-			}
-			s.ckptN++
-			s.nextCkpt = nextBoundary(s.allRecs, s.opt.every)
-			if s.opt.haltAfter > 0 && s.ckptN >= s.opt.haltAfter {
-				s.halted = true
-				return true
-			}
-		}
-		return false
+		return s.ckptErr != nil
 	})
 	switch {
 	case s.aborted:
 		return Results{}, ctx.Err()
 	case s.ckptErr != nil:
 		return Results{}, s.ckptErr
-	case s.halted:
-		return Results{}, ErrCheckpointed
 	}
 	// A frame source that ran dry because its producer died (truncated
 	// file, dropped stream) must fail the run — the records are

@@ -419,6 +419,3 @@ func (g *generator) noise(r *Record) {
 	r.Block = noiseBase + g.rnd.Uint64n(noiseBlocks)
 	r.Dep = g.rnd.Bool(g.spec.DepNoise)
 }
-
-// DirtyFrac exposes the workload's dirty-fill fraction for the simulator.
-func DirtyFrac(s Spec) float64 { return s.DirtyFrac }

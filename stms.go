@@ -88,15 +88,9 @@ type Cell = lab.Cell
 // columns are prefetcher variants.
 type Matrix = lab.Matrix
 
-// CellResult is one executed cell of a Matrix.
-type CellResult = lab.CellResult
-
 // ResultEvent streams per-cell progress (started/finished/failed) out
 // of Lab.Run to the sink registered with WithProgress.
 type ResultEvent = lab.ResultEvent
-
-// EventKind classifies a ResultEvent.
-type EventKind = lab.EventKind
 
 // Mode selects the simulation driver for a plan's cells.
 type Mode = lab.Mode
@@ -133,23 +127,6 @@ func WithParallelism(n int) Option { return lab.WithParallelism(n) }
 
 // WithBaseConfig replaces the base system configuration wholesale.
 func WithBaseConfig(cfg Config) Option { return lab.WithBaseConfig(cfg) }
-
-// WithTapeCache bounds the session's materialized-trace cache in bytes
-// (default 512 MB; 0 disables tape caching). Cells sharing a trace
-// identity — scaled spec, seed, cores, record budget — replay one
-// columnar tape instead of re-deriving the record stream per variant;
-// results are bit-identical either way.
-func WithTapeCache(maxBytes int64) Option { return lab.WithTapeCache(maxBytes) }
-
-// TapeStats reports a session's tape-cache accounting and its
-// generate-vs-simulate wall-time split (Lab.TapeStats).
-type TapeStats = lab.TapeStats
-
-// WithTapeDir adds an on-disk tier to the session's tape store: a
-// directory of STMSTAPE files named by trace-identity hash, shared
-// across sessions, process restarts, and any stms-serve worker pointed
-// at the same directory. Results are bit-identical with or without it.
-func WithTapeDir(dir string) Option { return lab.WithTapeDir(dir) }
 
 // WithWorkers turns the session into a coordinator: plan cells are
 // dispatched to the stms-serve worker daemons at the given base URLs,
@@ -241,12 +218,6 @@ type PrefSpec = sim.PrefSpec
 // Results reports one simulation run.
 type Results = sim.Results
 
-// Overhead is Figure 7's traffic-overhead breakdown.
-type Overhead = sim.Overhead
-
-// Kind enumerates prefetcher variants.
-type Kind = sim.Kind
-
 // Prefetcher variants: the stride-only baseline, idealized TMS with magic
 // on-chip meta-data, practical STMS, and the published comparators.
 const (
@@ -275,14 +246,6 @@ type Scenario = trace.Scenario
 // a duration, optionally drifting toward a second spec.
 type Phase = trace.Phase
 
-// PhaseMark locates one phase inside a materialized trace (per-core
-// record offset of its start).
-type PhaseMark = trace.PhaseMark
-
-// PhaseWindow is the slice of a run's counters attributable to one
-// scenario phase (Results.Phases).
-type PhaseWindow = sim.PhaseWindow
-
 // Scenarios returns the built-in phase-structured stress suite
 // (phase-flip, stream-decay, oltp-antagonist, migratory-handoff, ...).
 func Scenarios() []Scenario { return trace.Scenarios() }
@@ -298,10 +261,6 @@ func ScenarioByName(name string) (Scenario, error) { return trace.ScenarioByName
 // JSON format (the format stms-trace -scenario reads and
 // -scenario-out writes).
 func ParseScenario(r io.Reader) (Scenario, error) { return trace.ParseScenario(r) }
-
-// Stationary wraps a plain spec as a single-phase scenario; its record
-// streams are bit-identical to the spec's own.
-func Stationary(name string, spec WorkloadSpec) Scenario { return trace.Stationary(name, spec) }
 
 // Sequence builds a scenario from explicit phases.
 func Sequence(name string, phases ...Phase) Scenario { return trace.Sequence(name, phases...) }
@@ -338,51 +297,19 @@ func NewTape(spec WorkloadSpec, seed uint64, cores int, perCore uint64) *Tape {
 	return trace.NewTape(spec, seed, cores, perCore)
 }
 
-// NewScenarioTape materializes a (already scaled) phase-structured
-// scenario as a columnar tape, recording phase marks; replay —
-// including through the on-disk STMSTAPE format — is bit-identical to
-// live scenario generation.
-func NewScenarioTape(scn Scenario, seed uint64, cores int, perCore uint64) *Tape {
-	return trace.NewScenarioTape(scn, seed, cores, perCore)
-}
-
 // Frame is a reusable structure-of-arrays batch of trace records — the
-// unit the simulation drivers consume (DESIGN.md §10). Custom consumers
-// of workload streams can use FillFrame/Frames/PipelinedFrames to read
-// any generator block-at-a-time instead of record-at-a-time.
+// unit the simulation drivers consume (DESIGN.md §10), handed out by a
+// FrameSource.
 type Frame = trace.Frame
 
-// FrameReader is the batched fast path implemented by every built-in
-// generator: ReadFrame fills up to Frame.Cap records and returns the
-// count (0 = dry), producing exactly the sequence Next would.
-type FrameReader = trace.FrameReader
-
-// FrameSource hands out successive frames of a record stream; see
-// trace.Frames (synchronous) and trace.PipelinedFrames (decode
-// overlapped with consumption on a producer goroutine).
+// FrameSource hands out successive frames of a record stream: the
+// per-core input of a Source.Stream run.
 type FrameSource = trace.FrameSource
 
 // FrameStats counts frames and records consumed from a FrameSource;
 // Results.Frames reports the per-run totals (identical between live
 // generation and tape replay).
 type FrameStats = trace.FrameStats
-
-// NewFrame returns an empty frame with the default capacity
-// (trace.FrameCap records).
-func NewFrame() *Frame { return trace.NewFrame() }
-
-// FillFrame fills f from any generator, using its ReadFrame fast path
-// when it has one; returns the record count (0 = dry).
-func FillFrame(g trace.Generator, f *Frame) int { return trace.FillFrame(g, f) }
-
-// Frames returns a synchronous frame source over g.
-func Frames(g trace.Generator) FrameSource { return trace.Frames(g) }
-
-// PipelinedFrames returns a double-buffered frame source: a producer
-// goroutine fills the next frame while the caller works on the current
-// one. The frame sequence is identical to Frames(g); Close it unless it
-// was drained to nil.
-func PipelinedFrames(g trace.Generator) FrameSource { return trace.PipelinedFrames(g) }
 
 // STMSConfig sizes an STMS instance (history buffers, index table,
 // sampling probability, bucket buffer).
@@ -396,11 +323,6 @@ type Options = expt.Options
 
 // DefaultConfig returns the paper's Table 1 system at full scale.
 func DefaultConfig() Config { return sim.DefaultConfig() }
-
-// DefaultSTMSConfig returns the paper's STMS sizing for the given core
-// count (8 MB/core history, 16 MB index, 12-way buckets, 12.5% sampling,
-// 8 KB bucket buffer).
-func DefaultSTMSConfig(cores int) STMSConfig { return core.DefaultConfig(cores) }
 
 // Workload returns the named workload specification at full (paper) scale.
 // Names: web-apache, web-zeus, oltp-db2, oltp-oracle, dss-qry2, dss-qry17,
@@ -462,13 +384,6 @@ type Sampling = sim.Sampling
 // form, the per-window details, and per-metric confidence intervals.
 type SampledResults = sim.SampledResults
 
-// WindowStat is one measured window of a sampled run.
-type WindowStat = sim.WindowStat
-
-// SampledCI carries the Student-t confidence intervals of the headline
-// metrics (IPC, MLP, DRAM utilization, coverage) across windows.
-type SampledCI = sim.SampledCI
-
 // CI is one confidence interval (mean, bounds, level, strata count).
 type CI = stats.CI
 
@@ -498,6 +413,3 @@ func DefaultOptions() Options { return expt.DefaultOptions() }
 func RunExperiment(id string, o Options, w io.Writer) error {
 	return expt.NewRunner(o).ByID(id, w)
 }
-
-// ExperimentIDs lists the experiment identifiers in paper order.
-func ExperimentIDs() []string { return expt.IDs() }
